@@ -179,8 +179,6 @@ Agent::TaskState* Agent::findTask(std::uint64_t taskId) {
 }
 
 void Agent::setExpectedTasks(std::size_t n) {
-  expected_ = n;
-  // Pre-size the task tables: steady-state scheduling then never grows them.
   if (n > taskSlots_.capacity()) taskSlots_.reserve(n);
   taskIndex_.reserve(n);
 }
@@ -491,9 +489,7 @@ void Agent::finishTask(TaskState& task, metrics::TaskStatus status) {
                   task.attempts, serverNameOf(task), ""});
     }
   }
-  ++terminal_;
   if (onTerminal_) onTerminal_(makeOutcome(task.instance.index, task));
-  if (expected_ != 0 && terminal_ == expected_ && allDone_) allDone_();
 }
 
 metrics::TaskOutcome Agent::makeOutcome(std::uint64_t taskId, const TaskState& state) const {

@@ -101,10 +101,9 @@ class Agent {
   void onServerUp(const std::string& server);
 
   // --- experiment wiring ---
-  /// Also pre-sizes the task tables so steady-state scheduling never grows
-  /// them mid-run.
+  /// Pre-sizes the task tables for `n` tasks so steady-state scheduling
+  /// never grows them mid-run.
   void setExpectedTasks(std::size_t n);
-  void setAllDoneCallback(std::function<void()> fn) { allDone_ = std::move(fn); }
   /// Fires once per task when it reaches a terminal state (completed or
   /// lost), with the finished outcome. The distributed runtime relays these
   /// to the client over the wire.
@@ -146,7 +145,6 @@ class Agent {
 
   const core::HistoricalTraceManager& htm() const { return htm_; }
   const core::Scheduler& scheduler() const { return *scheduler_; }
-  std::size_t terminalCount() const { return terminal_; }
   double peakReportedLoad(const std::string& server) const;
   std::uint64_t scheduleDecisions() const { return decisions_; }
 
@@ -256,10 +254,7 @@ class Agent {
   std::vector<core::ServerId> serverOrder_; ///< registration order (determinism)
   std::vector<TaskState> taskSlots_;        ///< slot per task, never freed
   util::FlatMap64<std::uint32_t> taskIndex_;  ///< taskId -> slot
-  std::size_t expected_ = 0;
-  std::size_t terminal_ = 0;
   std::uint64_t decisions_ = 0;
-  std::function<void()> allDone_;
   std::function<void(const metrics::TaskOutcome&)> onTerminal_;
   std::string decisionLabel_;
   std::function<void(std::uint64_t, obs::DecisionRecord&)> decisionAnnotator_;

@@ -1,8 +1,9 @@
 #pragma once
 /// \file churn.hpp
 /// Dynamic server membership: scheduled join/leave/crash/slowdown events that
-/// a GridSystem applies mid-run. Scenarios compile their churn timelines down
-/// to these; tests hand-craft them.
+/// the simulator (cas::GridSystem) and the live loopback harness apply
+/// mid-run. Scenarios compile their churn timelines down to these; tests
+/// hand-craft them.
 
 #include <cstdint>
 #include <string>

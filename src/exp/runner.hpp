@@ -60,8 +60,9 @@ bool grantsFaultTolerance(FaultTolerancePolicy policy, const std::string& heuris
 bool resolveFaultTolerance(FaultTolerancePolicy policy, const std::string& heuristic,
                            bool scenarioDefault);
 
-/// Runs one heuristic on one concrete metatask. `noiseSeed` overrides the
-/// spec's system noise seed (replications vary it).
+/// Runs one heuristic on one concrete metatask, on one agent owning every
+/// server (campaigns do not deploy a scenario's [mesh] topology).
+/// `noiseSeed` overrides the spec's system noise seed (replications vary it).
 metrics::RunResult runOne(const ExperimentSpec& spec, const workload::Metatask& metatask,
                           const std::string& heuristic, bool faultTolerance,
                           std::uint64_t noiseSeed);

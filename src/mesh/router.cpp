@@ -2,15 +2,6 @@
 
 namespace casched::mesh {
 
-RouterConfig routerConfigFrom(const scenario::MeshSpec& spec) {
-  RouterConfig config;
-  config.forwarding = spec.forwarding;
-  config.hopLimit = spec.hopLimit;
-  config.overloadThreshold = spec.overloadThreshold;
-  config.stealing = spec.stealPeriod > 0.0;
-  return config;
-}
-
 namespace {
 
 /// Least-loaded peer with live servers; ties break on the lower table index

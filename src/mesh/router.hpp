@@ -1,22 +1,21 @@
 #pragma once
 /// \file router.hpp
-/// The mesh routing decision, shared verbatim by the simulator's MeshSystem
-/// and the live agent daemons: given the local partition's state and the
-/// latest peer digests, decide whether a schedule request is placed locally,
-/// forwarded to the least-loaded capable peer, parked for work-stealing, or
-/// denied. Keeping the policy in one pure function is what makes the
-/// sim/live count-agreement invariant hold for mesh scenarios.
+/// The mesh routing decision, shared verbatim by the simulator
+/// (cas::GridSystem) and the live agent daemons: given the local partition's
+/// state and the latest peer digests, decide whether a schedule request is
+/// placed locally, forwarded to the least-loaded capable peer, parked for
+/// work-stealing, or denied. Keeping the policy in one pure function is what
+/// makes the sim/live count-agreement invariant hold for mesh scenarios.
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string>
-
-#include "scenario/spec.hpp"
 
 namespace casched::mesh {
 
-/// The routing knobs of a [mesh] section, distilled for the decision path.
+/// The routing knobs of a [mesh] section, distilled for the decision path
+/// (scenario::topologyOf fills it).
 struct RouterConfig {
   bool forwarding = true;
   /// Max agent-to-agent transfers per request; a request arriving with
@@ -29,8 +28,6 @@ struct RouterConfig {
   /// somebody will come and steal them.
   bool stealing = false;
 };
-
-RouterConfig routerConfigFrom(const scenario::MeshSpec& spec);
 
 /// One peer's advertised state. Live daemons fill this from the latest
 /// kAgentSync digest (stale by up to one sync period); the simulator reads

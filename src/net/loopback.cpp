@@ -5,12 +5,9 @@
 #include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <functional>
-#include <map>
 #include <memory>
 #include <thread>
 
-#include "mesh/router.hpp"
 #include "net/agent_daemon.hpp"
 #include "net/client_driver.hpp"
 #include "net/server_daemon.hpp"
@@ -24,19 +21,6 @@
 namespace casched::net {
 
 namespace {
-
-NetServerConfig serverConfig(const psched::MachineSpec& spec, double speedIndex,
-                             std::vector<std::uint16_t> agentPorts,
-                             const cas::SystemConfig& system, double heartbeatPeriod) {
-  NetServerConfig config;
-  config.agentPorts = std::move(agentPorts);
-  config.agentPort = config.agentPorts.front();
-  config.machine = spec;
-  config.speedIndex = speedIndex;
-  config.reportPeriod = system.reportPeriod;
-  config.heartbeatPeriod = heartbeatPeriod;
-  return config;
-}
 
 /// Derived missed-report deadline: generous against the report period AND
 /// against pump stalls. The daemons here share one cooperative thread, so the
@@ -66,8 +50,8 @@ AgentDaemonConfig baseAgentConfig(const scenario::CompiledScenario& compiled,
   return config;
 }
 
-/// One agent slot of a multi-agent deployment; survives its daemon's crash
-/// and carries what a restart needs (same port, same snapshot file).
+/// One agent slot of a deployment; survives its daemon's crash and carries
+/// what a restart needs (same port, same snapshot file).
 struct AgentSlot {
   AgentDaemonConfig config;
   std::unique_ptr<AgentDaemon> daemon;
@@ -87,24 +71,74 @@ void accumulateShare(AgentShare& share, const std::vector<metrics::TaskOutcome>&
   share.resubmissions += countResubmissions(outcomes);
 }
 
-/// Shared live churn dispatch for both harness shapes (single- and
-/// multi-agent): the daemon lookup and the joiner factory differ per shape,
-/// the event semantics must not. Folds every event into an FNV digest as it
+/// The deployment's server daemons: one per testbed entry at start, plus the
+/// joiners a churn timeline adds. Each server dials its home agent first and
+/// fails over down the rest of the agent list. Home is the server's rack
+/// owner in a mesh, index % agents in partitioned mode, else the first agent.
+class ServerFleet {
+ public:
+  ServerFleet(const PacedClock& clock, double reportPeriod, double heartbeatPeriod,
+              std::vector<std::uint16_t> agentPorts, std::vector<std::size_t> rackOwner,
+              bool partitioned)
+      : clock_(clock),
+        reportPeriod_(reportPeriod),
+        heartbeatPeriod_(heartbeatPeriod),
+        agentPorts_(std::move(agentPorts)),
+        rackOwner_(std::move(rackOwner)),
+        partitioned_(partitioned) {}
+
+  void start(const psched::MachineSpec& spec, double speedIndex) {
+    const std::size_t index = daemons_.size();
+    const std::size_t home = index < rackOwner_.size()
+                                 ? rackOwner_[index]
+                                 : (partitioned_ ? index % agentPorts_.size() : 0);
+    NetServerConfig config;
+    for (std::size_t k = 0; k < agentPorts_.size(); ++k) {
+      config.agentPorts.push_back(agentPorts_[(home + k) % agentPorts_.size()]);
+    }
+    config.agentPort = config.agentPorts.front();
+    config.machine = spec;
+    config.speedIndex = speedIndex;
+    config.reportPeriod = reportPeriod_;
+    config.heartbeatPeriod = heartbeatPeriod_;
+    auto daemon = std::make_unique<NetServerDaemon>(config, clock_);
+    daemon->connect();
+    daemons_.push_back(std::move(daemon));
+  }
+
+  NetServerDaemon* find(const std::string& name) {
+    for (auto& d : daemons_) {
+      if (d->name() == name) return d.get();
+    }
+    return nullptr;
+  }
+
+  void runOnce() {
+    for (auto& d : daemons_) d->runOnce();
+  }
+  std::size_t size() const { return daemons_.size(); }
+
+ private:
+  PacedClock clock_;
+  double reportPeriod_;
+  double heartbeatPeriod_;
+  std::vector<std::uint16_t> agentPorts_;
+  std::vector<std::size_t> rackOwner_;
+  bool partitioned_;
+  std::vector<std::unique_ptr<NetServerDaemon>> daemons_;
+};
+
+/// Live churn dispatch: applies each timeline event to the fleet at its
+/// (wall-paced) scenario time. Folds every event into an FNV digest as it
 /// is dispatched (the undispatched tail folded at finish), witnessing that
 /// this harness iterated the compiled canonical sequence; an event whose
 /// target daemon cannot be found is counted as skipped - the deterministic
 /// dropped-event signal the digest alone cannot give (see loopback.hpp).
 class LiveChurnDriver {
  public:
-  using DaemonByNameFn = std::function<NetServerDaemon*(const std::string&)>;
-  using StartServerFn = std::function<void(const psched::MachineSpec&, double)>;
-
-  LiveChurnDriver(std::vector<cas::ChurnEvent> timeline, DaemonByNameFn daemonByName,
-                  StartServerFn startServer, LiveRunReport& report)
-      : timeline_(std::move(timeline)),
-        daemonByName_(std::move(daemonByName)),
-        startServer_(std::move(startServer)),
-        report_(report) {
+  LiveChurnDriver(std::vector<cas::ChurnEvent> timeline, ServerFleet& servers,
+                  LiveRunReport& report)
+      : timeline_(std::move(timeline)), servers_(servers), report_(report) {
     std::stable_sort(timeline_.begin(), timeline_.end(),
                      [](const cas::ChurnEvent& a, const cas::ChurnEvent& b) {
                        return a.time < b.time;
@@ -133,68 +167,66 @@ class LiveChurnDriver {
   void apply(const cas::ChurnEvent& event, double simNow) {
     LOG_INFO("live churn: " << cas::churnActionName(event.action) << " "
                             << event.server << " at sim t=" << simNow);
+    if (event.action == cas::ChurnAction::kJoin) {
+      servers_.start(event.joinSpec, event.speedIndex);
+      ++report_.churnApplied.joins;
+      return;
+    }
+    NetServerDaemon* d = servers_.find(event.server);
+    if (d == nullptr) {
+      ++report_.churnSkipped;
+      return;
+    }
     switch (event.action) {
       case cas::ChurnAction::kJoin:
-        startServer_(event.joinSpec, event.speedIndex);
-        ++report_.churnApplied.joins;
         return;
       case cas::ChurnAction::kLeave:
-        if (NetServerDaemon* d = daemonByName_(event.server)) {
-          d->leave();
-          ++report_.churnApplied.leaves;
-        } else {
-          ++report_.churnSkipped;
-        }
+        d->leave();
+        ++report_.churnApplied.leaves;
         return;
       case cas::ChurnAction::kCrash:
-        if (NetServerDaemon* d = daemonByName_(event.server)) {
-          if (d->crash(event.duration)) ++report_.churnApplied.crashes;
-        } else {
-          ++report_.churnSkipped;
-        }
+        if (d->crash(event.duration)) ++report_.churnApplied.crashes;
         return;
       case cas::ChurnAction::kSlowdown:
-        if (NetServerDaemon* d = daemonByName_(event.server)) {
-          d->setSpeedFactor(event.factor, event.duration);
-          ++report_.churnApplied.slowdowns;
-        } else {
-          ++report_.churnSkipped;
-        }
+        d->setSpeedFactor(event.factor, event.duration);
+        ++report_.churnApplied.slowdowns;
         return;
       case cas::ChurnAction::kLink:
-        if (NetServerDaemon* d = daemonByName_(event.server)) {
-          d->setLinkFactor(event.factor, event.duration);
-          ++report_.churnApplied.links;
-        } else {
-          ++report_.churnSkipped;
-        }
+        d->setLinkFactor(event.factor, event.duration);
+        ++report_.churnApplied.links;
         return;
     }
   }
 
   std::vector<cas::ChurnEvent> timeline_;
   std::size_t next_ = 0;
-  DaemonByNameFn daemonByName_;
-  StartServerFn startServer_;
+  ServerFleet& servers_;
   LiveRunReport& report_;
   scenario::ChurnDigest digest_;
 };
 
-LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
+/// Deploys the compiled scenario - `agents.count` peered agent daemons (one
+/// for the paper's model), one server daemon per testbed entry and a client
+/// - and pumps it until every task is terminal or the wall deadline passes.
+LiveRunReport runDeployment(const scenario::CompiledScenario& compiled,
                             const LiveRunOptions& options) {
   const scenario::AgentsSpec& spec = compiled.agents;
+  const cas::Topology topology = scenario::topologyOf(compiled);
   const PacedClock clock(options.timeScale);
 
-  // Snapshot files live in a per-run directory; a caller-provided one is
-  // kept (operators may want the snapshots), the default temp one is removed.
+  // Snapshot files (restarts and peer warm-starts) live in a per-run
+  // directory; a caller-provided one is kept (operators may want the
+  // snapshots), the default temp one is removed. A lone agent has neither a
+  // peer nor a restart event, so it persists nothing.
   namespace fs = std::filesystem;
-  const bool ownSnapshotDir = options.snapshotDir.empty();
+  const bool persist = spec.count > 1;
+  const bool ownSnapshotDir = persist && options.snapshotDir.empty();
   fs::path snapshotDir = options.snapshotDir.empty()
                              ? fs::temp_directory_path() /
                                    util::strformat("casched-run-%d-%p", ::getpid(),
                                                    static_cast<const void*>(&clock))
                              : fs::path(options.snapshotDir);
-  fs::create_directories(snapshotDir);
+  if (persist) fs::create_directories(snapshotDir);
 
   std::vector<AgentSlot> slots(spec.count);
   for (std::size_t i = 0; i < spec.count; ++i) {
@@ -203,13 +235,15 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
     slot.config.agentName = util::strformat("agent-%zu", i);
     slot.config.mode = parseAgentMode(spec.mode);
     slot.config.syncPeriod = spec.syncPeriod;
-    slot.config.snapshotPath =
-        (snapshotDir / (slot.config.agentName + ".htmsnap")).string();
-    if (compiled.mesh.enabled) {
+    if (persist) {
+      slot.config.snapshotPath =
+          (snapshotDir / (slot.config.agentName + ".htmsnap")).string();
+    }
+    if (topology.mesh) {
       slot.config.meshEnabled = true;
-      slot.config.meshRouter = mesh::routerConfigFrom(compiled.mesh);
-      slot.config.meshStealPeriod = compiled.mesh.stealPeriod;
-      slot.config.meshStealBatch = compiled.mesh.stealBatch;
+      slot.config.meshRouter = topology.mesh->router;
+      slot.config.meshStealPeriod = topology.mesh->stealPeriod;
+      slot.config.meshStealBatch = topology.mesh->stealBatch;
     }
     slot.daemon = std::make_unique<AgentDaemon>(slot.config, clock);
     slot.port = slot.daemon->port();
@@ -226,40 +260,20 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
     }
   }
 
-  const bool partitioned = parseAgentMode(spec.mode) == AgentMode::kPartitioned;
   // Mesh deployments home each server on its rack's owner (the simulator uses
   // the same assignment); otherwise partitioned mode round-robins by index.
   std::vector<std::size_t> rackOwner;
-  if (compiled.mesh.enabled) {
-    rackOwner.assign(compiled.testbed.servers.size(), 0);
-    for (const scenario::RackSpec& rack : compiled.mesh.racks) {
-      for (const std::size_t s : rack.servers) rackOwner[s] = rack.agentIndex;
-    }
+  if (!topology.racks.empty()) rackOwner.assign(compiled.testbed.servers.size(), 0);
+  for (std::size_t agent = 0; agent < topology.racks.size(); ++agent) {
+    for (const std::size_t s : topology.racks[agent]) rackOwner[s] = agent;
   }
-  const auto portsFor = [&](std::size_t serverIdx) {
-    std::vector<std::uint16_t> ports;
-    const std::size_t home = serverIdx < rackOwner.size()
-                                 ? rackOwner[serverIdx]
-                                 : (partitioned ? serverIdx % slots.size() : 0);
-    for (std::size_t k = 0; k < slots.size(); ++k) {
-      ports.push_back(slots[(home + k) % slots.size()].port);
-    }
-    return ports;
-  };
-
-  std::vector<std::unique_ptr<NetServerDaemon>> servers;
-  std::size_t serverCounter = 0;
-  const auto startServer = [&](const psched::MachineSpec& machineSpec,
-                               double speedIndex) {
-    auto daemon = std::make_unique<NetServerDaemon>(
-        serverConfig(machineSpec, speedIndex, portsFor(serverCounter++),
-                     compiled.system, options.heartbeatPeriod),
-        clock);
-    daemon->connect();
-    servers.push_back(std::move(daemon));
-  };
+  const bool partitioned = parseAgentMode(spec.mode) == AgentMode::kPartitioned;
+  std::vector<std::uint16_t> agentPorts;
+  for (const AgentSlot& slot : slots) agentPorts.push_back(slot.port);
+  ServerFleet servers(clock, compiled.system.reportPeriod, options.heartbeatPeriod,
+                      agentPorts, std::move(rackOwner), partitioned);
   for (const psched::MachineSpec& machineSpec : compiled.testbed.servers) {
-    startServer(machineSpec, compiled.testbed.costs.speedIndex(machineSpec.name));
+    servers.start(machineSpec, compiled.testbed.costs.speedIndex(machineSpec.name));
   }
 
   LiveRunReport report;
@@ -285,7 +299,7 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
     for (AgentSlot& slot : slots) {
       if (slot.daemon) slot.daemon->runOnce();
     }
-    for (auto& s : servers) s->runOnce();
+    servers.runOnce();
     if (client != nullptr) client->runOnce();
   };
 
@@ -300,28 +314,19 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
   }
 
   ClientConfig clientConfig;
-  if (compiled.mesh.enabled && compiled.mesh.topology == "tree") {
+  if (topology.mesh && topology.mesh->root) {
     // Hierarchical topology: the client talks to the root only; the root
     // owns no rack and routes (forward or steal) into the leaves.
-    clientConfig.agentPorts.push_back(slots[compiled.mesh.root].port);
+    clientConfig.agentPorts.push_back(slots[*topology.mesh->root].port);
   } else {
-    for (const AgentSlot& slot : slots) clientConfig.agentPorts.push_back(slot.port);
+    clientConfig.agentPorts = agentPorts;
   }
   clientConfig.roundRobin = partitioned;
   ClientDriver client(clientConfig, clock);
   client.connect();
   client.start(compiled.metatask);
 
-  // Server churn timeline, applied live at its (wall-paced) scenario times.
-  LiveChurnDriver churnDriver(
-      compiled.churn,
-      [&](const std::string& name) -> NetServerDaemon* {
-        for (auto& s : servers) {
-          if (s->name() == name) return s.get();
-        }
-        return nullptr;
-      },
-      startServer, report);
+  LiveChurnDriver churnDriver(compiled.churn, servers, report);
 
   // Agent churn timeline (crash + optional restart), time-sorted.
   std::vector<scenario::AgentEventSpec> agentEvents = spec.events;
@@ -375,8 +380,9 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
   }
   churnDriver.finish();
 
-  // The client is the authority on terminal counts here: after a fail-over
-  // no single agent saw every task.
+  // The client is the authority on terminal counts: after a fail-over no
+  // single agent saw every task, and a task that never reached an agent
+  // (timed out in flight, or denied) is in no agent's outcomes.
   report.completed = client.completedCount();
   report.lost = report.tasks - std::min(report.tasks, report.completed);
   report.clientFailovers = client.failoverResubmissions();
@@ -406,6 +412,10 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
     report.resubmissions += share.resubmissions;
     report.perAgent.push_back(std::move(share));
   }
+  std::stable_sort(report.outcomes.begin(), report.outcomes.end(),
+                   [](const metrics::TaskOutcome& a, const metrics::TaskOutcome& b) {
+                     return a.index < b.index;
+                   });
   report.serversStarted = servers.size();
   report.wallSeconds = clock.wallElapsed();
   for (const AgentSlot& slot : slots) {
@@ -419,98 +429,6 @@ LiveRunReport runMultiAgent(const scenario::CompiledScenario& compiled,
     std::error_code ec;
     fs::remove_all(snapshotDir, ec);  // best effort; temp dir anyway
   }
-  return report;
-}
-
-LiveRunReport runSingleAgent(const scenario::CompiledScenario& compiled,
-                             const LiveRunOptions& options) {
-  // One shared epoch keeps every daemon's simulation clock aligned.
-  const PacedClock clock(options.timeScale);
-
-  AgentDaemonConfig agentConfig = baseAgentConfig(compiled, options);
-  AgentDaemon agent(agentConfig, clock);
-
-  std::vector<std::unique_ptr<NetServerDaemon>> servers;
-  const auto startServer = [&](const psched::MachineSpec& machineSpec,
-                               double speedIndex) {
-    auto daemon = std::make_unique<NetServerDaemon>(
-        serverConfig(machineSpec, speedIndex, {agent.port()}, compiled.system,
-                     options.heartbeatPeriod),
-        clock);
-    daemon->connect();
-    servers.push_back(std::move(daemon));
-  };
-  for (const psched::MachineSpec& machineSpec : compiled.testbed.servers) {
-    startServer(machineSpec, compiled.testbed.costs.speedIndex(machineSpec.name));
-  }
-
-  LiveRunReport report;
-  report.scenario = compiled.name;
-  report.heuristic = options.heuristic;
-  report.timeScale = options.timeScale;
-  report.tasks = compiled.metatask.size();
-
-  const auto stopRequested = [&] {
-    return options.stopFlag != nullptr &&
-           options.stopFlag->load(std::memory_order_relaxed);
-  };
-
-  // Wait for every initial registration before the first arrival fires.
-  const WallDeadline registrationDeadline(5.0);
-  while (agent.liveServerCount() < servers.size() && !stopRequested()) {
-    if (registrationDeadline.passed()) {
-      throw util::IoError("loopback run: initial server registration timed out");
-    }
-    agent.runOnce();
-    for (auto& s : servers) s->runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-
-  ClientConfig clientConfig;
-  clientConfig.agentPort = agent.port();
-  ClientDriver client(clientConfig, clock);
-  client.connect();
-  client.start(compiled.metatask);
-
-  // Churn timeline, applied live at its (wall-paced) scenario times.
-  LiveChurnDriver churnDriver(
-      compiled.churn,
-      [&](const std::string& name) -> NetServerDaemon* {
-        for (auto& s : servers) {
-          if (s->name() == name) return s.get();
-        }
-        return nullptr;
-      },
-      startServer, report);
-
-  const WallDeadline deadline(options.wallTimeoutSeconds);
-  while (!client.done() && !stopRequested()) {
-    if (deadline.passed()) {
-      report.timedOut = true;
-      break;
-    }
-    churnDriver.pump(clock.simNow());
-    agent.runOnce();
-    for (auto& s : servers) s->runOnce();
-    client.runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  churnDriver.finish();
-
-  report.outcomes = agent.agent().collectOutcomes();
-  for (const metrics::TaskOutcome& o : report.outcomes) {
-    if (o.status == metrics::TaskStatus::kCompleted) ++report.completed;
-    else ++report.lost;
-  }
-  report.resubmissions = countResubmissions(report.outcomes);
-  report.serversStarted = servers.size();
-  report.serversRetired = agent.retiredServerCount();
-  report.wallSeconds = clock.wallElapsed();
-  report.simEndTime = agent.simulator().now();
-  AgentShare share;
-  share.name = agent.agentName();
-  accumulateShare(share, report.outcomes);
-  report.perAgent.push_back(std::move(share));
   return report;
 }
 
@@ -528,8 +446,7 @@ LiveRunReport runLoopbackScenario(const scenario::ScenarioSpec& spec,
                                   const LiveRunOptions& options) {
   const scenario::CompiledScenario compiled =
       scenario::compileScenario(spec, options.seed);
-  LiveRunReport report = compiled.agents.count > 1 ? runMultiAgent(compiled, options)
-                                                   : runSingleAgent(compiled, options);
+  LiveRunReport report = runDeployment(compiled, options);
   report.generatedChurn = compiled.generatedChurn;
   report.churnPlanned =
       scenario::summarizeChurnTimeline(compiled.churn, compiled.faultDomains);

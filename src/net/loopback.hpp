@@ -11,8 +11,9 @@
 /// against real sockets, and their completed/lost/resubmitted counts can be
 /// compared directly.
 ///
-/// A scenario with an [agents] section deploys `count` peered agents
-/// (protocol v3 hello + sync). In replicated mode every server and the
+/// One harness serves every shape: a plain scenario is a one-agent
+/// deployment, and a scenario with an [agents] section deploys `count`
+/// peered agents (protocol v3 hello + sync). In replicated mode every server and the
 /// client home on the first agent and fail over down the list; in
 /// partitioned mode server i homes on agent i % count and the client spreads
 /// tasks round-robin. Agent crash events destroy a daemon mid-run; servers
@@ -70,6 +71,8 @@ struct LiveRunReport {
   std::string heuristic;
   double timeScale = 1.0;
   std::size_t tasks = 0;
+  /// Client-side counts: a task is lost unless the client saw it complete
+  /// (denied, failed, or still in flight at the wall timeout).
   std::size_t completed = 0;
   std::size_t lost = 0;
   /// Extra scheduling attempts past each task's first (fault tolerance).
@@ -96,7 +99,8 @@ struct LiveRunReport {
   double wallSeconds = 0.0;
   double simEndTime = 0.0;
   bool timedOut = false;
-  std::vector<metrics::TaskOutcome> outcomes;  ///< agent-side, by task index
+  /// Agent-side outcomes of every agent incarnation, sorted by task index.
+  std::vector<metrics::TaskOutcome> outcomes;
 
   // --- multi-agent deployments ([agents] section) ---
   std::size_t agentsDeployed = 1;

@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "core/htm.hpp"
-#include "mesh/sim_system.hpp"
 #include "platform/calibration.hpp"
 #include "platform/machine_catalog.hpp"
 #include "scenario/faults.hpp"
@@ -259,9 +258,8 @@ CompiledScenario compileScenario(const ScenarioSpec& spec, std::uint64_t seed) {
   out.agents = spec.agents;
   CASCHED_CHECK(out.agents.count > 0, "agent count must be positive");
   CASCHED_CHECK(out.agents.syncPeriod > 0.0, "agent sync-period must be positive");
-  // A single-agent deployment takes the plain loopback path, which never
-  // reads agent events - reject the combination instead of dropping churn
-  // the spec asked for.
+  // Crashing a lone agent leaves nobody to fail over to - reject the
+  // combination instead of dropping churn the spec asked for.
   CASCHED_CHECK(out.agents.events.empty() || out.agents.count > 1,
                 "agent crash events need an [agents] count of at least 2");
   for (const AgentEventSpec& e : out.agents.events) {
@@ -312,14 +310,30 @@ CompiledScenario compileScenario(const ScenarioSpec& spec, std::uint64_t seed) {
   return out;
 }
 
+cas::Topology topologyOf(const CompiledScenario& compiled) {
+  cas::Topology topology;
+  const MeshSpec& spec = compiled.mesh;
+  if (!spec.enabled) return topology;
+  topology.racks.resize(compiled.agents.count);
+  for (const RackSpec& rack : spec.racks) {
+    std::vector<std::size_t>& owned = topology.racks[rack.agentIndex];
+    owned.insert(owned.end(), rack.servers.begin(), rack.servers.end());
+  }
+  cas::MeshRouting& routing = topology.mesh.emplace();
+  routing.router.forwarding = spec.forwarding;
+  routing.router.hopLimit = spec.hopLimit;
+  routing.router.overloadThreshold = spec.overloadThreshold;
+  routing.router.stealing = spec.stealPeriod > 0.0;
+  if (spec.topology == "tree") routing.root = spec.root;
+  routing.stealPeriod = spec.stealPeriod;
+  routing.stealBatch = spec.stealBatch;
+  return topology;
+}
+
 metrics::RunResult runScenario(const CompiledScenario& compiled,
                                const std::string& heuristic) {
-  if (compiled.mesh.enabled) {
-    return mesh::runMeshSim(compiled.testbed, compiled.metatask, heuristic,
-                            compiled.system, compiled.mesh, compiled.agents);
-  }
   return cas::runExperimentSystem(compiled.testbed, compiled.metatask, heuristic,
-                                  compiled.system, compiled.churn);
+                                  compiled.system, compiled.churn, topologyOf(compiled));
 }
 
 }  // namespace casched::scenario

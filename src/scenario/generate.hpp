@@ -33,15 +33,14 @@ struct CompiledScenario {
   std::size_t generatedChurn = 0;
   /// Resolved correlated-failure domains ([faults] rack/zone tagging).
   std::vector<FaultDomainSpec> faultDomains;
-  /// Multi-agent deployment shape ([agents] section, validated). The
-  /// simulator runs the paper's single agent regardless; the live loopback
-  /// harness deploys `agents.count` daemons and applies the agent-crash
-  /// events.
+  /// Multi-agent deployment shape ([agents] section, validated). Without a
+  /// [mesh] section the simulator runs the paper's single agent regardless;
+  /// the live loopback harness deploys `agents.count` daemons and applies
+  /// the agent-crash events.
   AgentsSpec agents;
   /// Agent-mesh shape ([mesh] section, validated): rack ownership, request
-  /// forwarding, work-stealing and topology. When enabled, runScenario runs
-  /// the multi-agent mesh simulator instead of the paper's single agent, and
-  /// the live harness deploys the same mesh over loopback TCP.
+  /// forwarding, work-stealing and topology. Both runScenario and the live
+  /// harness deploy it through topologyOf.
   MeshSpec mesh;
 };
 
@@ -51,7 +50,12 @@ workload::TaskType resolveTypeName(const std::string& name);
 
 CompiledScenario compileScenario(const ScenarioSpec& spec, std::uint64_t seed);
 
-/// Runs one heuristic on a compiled scenario (churn timeline included).
+/// The deployment a compiled scenario describes: its [mesh] racks and router
+/// when the section is present, otherwise one agent owning every server.
+cas::Topology topologyOf(const CompiledScenario& compiled);
+
+/// Runs one heuristic on a compiled scenario (churn timeline and [mesh]
+/// topology included).
 metrics::RunResult runScenario(const CompiledScenario& compiled,
                                const std::string& heuristic);
 

@@ -185,8 +185,9 @@ struct AgentEventSpec {
 };
 
 /// [agents] section: how many agent daemons a live deployment runs and how
-/// they replicate. The simulator always runs the paper's single agent; this
-/// section only shapes the loopback/net deployment of the same spec.
+/// they replicate. Without a [mesh] section the simulator runs the paper's
+/// single agent; this section then only shapes the loopback/net deployment
+/// of the same spec.
 struct AgentsSpec {
   std::size_t count = 1;
   std::string mode = "replicated";  ///< replicated | partitioned
@@ -206,9 +207,9 @@ struct RackSpec {
 
 /// [mesh] section: the agent mesh layered on a partitioned multi-agent
 /// deployment - request forwarding between peers, work-stealing, and
-/// hierarchical (tree) topologies. Compiled into both the simulator's mesh
-/// system and the live loopback deployment, so mesh scenarios keep the
-/// sim/live count-agreement invariant.
+/// hierarchical (tree) topologies. Compiled (scenario::topologyOf) into both
+/// the simulator's deployment and the live loopback one, so mesh scenarios
+/// keep the sim/live count-agreement invariant.
 struct MeshSpec {
   bool enabled = false;  ///< set by the presence of a [mesh] section
   /// Forward a request to the least-loaded peer when the local partition is

@@ -107,10 +107,10 @@ TEST(Batching, BatchedAndSequentialSchedulingAgree) {
     // task at exactly the same instants (the pre-batching client behaviour).
     trace.enable(1 << 16);
     cas::GridSystem seqWorld(bed, mt, heuristic, cfg);
+    // The system's terminal observer still stops the run once every task
+    // is terminal.
     cas::Agent& agent = seqWorld.agent();
     simcore::Simulator& sim = seqWorld.simulator();
-    agent.setExpectedTasks(mt.size());
-    agent.setAllDoneCallback([&sim] { sim.requestStop(); });
     for (const workload::TaskInstance& task : mt.tasks) {
       const workload::TaskInstance copy = task;
       sim.scheduleAt(task.arrival + cfg.controlLatency,

@@ -233,6 +233,36 @@ TEST(System, RejectsEmptyInputs) {
   EXPECT_THROW(build(noServers, tinyMetatask(1, 1.0, type)), util::Error);
 }
 
+TEST(System, RejectsMalformedTopologies) {
+  const platform::Testbed bed = platform::buildUniform(2);
+  const auto type = workload::makeSyntheticType("t", 0.0, 1.0, 0.0, 0.0);
+  const auto mt = tinyMetatask(1, 1.0, type);
+  const auto build = [&](const Topology& topology) {
+    return std::make_unique<GridSystem>(bed, mt, "mct", SystemConfig{}, topology);
+  };
+  Topology twoAgentsNoRouter;
+  twoAgentsNoRouter.racks = {{0}, {1}};
+  EXPECT_THROW(build(twoAgentsNoRouter), util::Error);
+
+  Topology loneAgentWithRouter;
+  loneAgentWithRouter.racks = {{0, 1}};
+  loneAgentWithRouter.mesh.emplace();
+  EXPECT_THROW(build(loneAgentWithRouter), util::Error);
+
+  Topology unknownServer = twoAgentsNoRouter;
+  unknownServer.mesh.emplace();
+  unknownServer.racks[1] = {2};
+  EXPECT_THROW(build(unknownServer), util::Error);
+
+  Topology rootOutside = twoAgentsNoRouter;
+  rootOutside.mesh.emplace().root = 2;
+  EXPECT_THROW(build(rootOutside), util::Error);
+
+  Topology mesh = twoAgentsNoRouter;
+  mesh.mesh.emplace().root = 1;
+  EXPECT_NO_THROW(build(mesh));
+}
+
 TEST(System, MemoryAwareAvoidsCollapseWhereMsfCollapses) {
   // Future-work extension (paper section 7): with memory admission control
   // the fragile server is never overcommitted.

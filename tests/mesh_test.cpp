@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "mesh/router.hpp"
+#include "obs/metrics.hpp"
 #include "scenario/generate.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
@@ -246,6 +247,22 @@ TEST(MeshSim, SameSeedIsBitIdentical) {
     EXPECT_DOUBLE_EQ(a.tasks[i].completion, b.tasks[i].completion);
   }
   EXPECT_EQ(a.mesh.forwards, b.mesh.forwards);
+}
+
+TEST(MeshSim, RunsCountIntoTheSimulatorCounters) {
+  // Mesh runs are simulator activity like any other: one run adds one to the
+  // run counter and its executed events to the event counter.
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& runs = registry.counter("casched_sim_runs_total");
+  const obs::Counter& events = registry.counter("casched_sim_events_total");
+  const CompiledScenario compiled =
+      compileScenario(scenario::findScenario("mesh/saturated_rescue"), 7);
+  const std::uint64_t runsBefore = runs.value();
+  const std::uint64_t eventsBefore = events.value();
+  const metrics::RunResult result = runScenario(compiled, "msf");
+  EXPECT_EQ(runs.value(), runsBefore + 1);
+  EXPECT_GT(result.simulatedEvents, 0u);
+  EXPECT_EQ(events.value(), eventsBefore + result.simulatedEvents);
 }
 
 }  // namespace

@@ -476,6 +476,23 @@ TEST(NetRuntime, LiveLoopbackScenarioMatchesSimulatorCounts) {
   EXPECT_NE(json.find("\"scenario\": \"live-loopback\""), std::string::npos);
 }
 
+TEST(NetRuntime, TimedOutRunCountsEveryUnfinishedTaskAsLost) {
+  // The client is the authority on terminal counts: a task still unsent, in
+  // flight or running when the wall deadline passes is lost, not uncounted.
+  // (Arrivals span ~120 simulated seconds; the deadline stops the run at ~10.)
+  LiveRunOptions options;
+  options.heuristic = "msf";
+  options.timeScale = 20.0;
+  options.seed = 7;
+  options.wallTimeoutSeconds = 0.5;
+  const LiveRunReport live = runLoopbackScenario("live-loopback", options);
+
+  ASSERT_TRUE(live.timedOut);
+  EXPECT_EQ(live.tasks, 24u);
+  EXPECT_LT(live.completed, live.tasks);
+  EXPECT_EQ(live.completed + live.lost, live.tasks);
+}
+
 TEST(NetRuntime, CoalescingReducesWireFrameCountsMeasurably) {
   // The v5 efficiency lock: daemons queue their per-poll-cycle outbound
   // traffic, so bursts of same-type messages (schedule requests due at once,
@@ -814,6 +831,10 @@ TEST(MeshLive, SaturatedRescueAgreesWithSimulatorCounts) {
     }
   }
   EXPECT_GT(rescued, 0u) << "no task of the saturated partition was rescued";
+  // Outcomes are listed by task index, whichever agent placed them.
+  for (std::size_t i = 1; i < live.outcomes.size(); ++i) {
+    EXPECT_LT(live.outcomes[i - 1].index, live.outcomes[i].index) << "at position " << i;
+  }
 }
 
 TEST(MeshLive, HierarchyRootRoutesEverythingToTheLeaves) {
