@@ -1,6 +1,7 @@
 #include "core/server_trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <limits>
 #include <type_traits>
@@ -13,6 +14,80 @@ namespace {
 /// Phase amounts/remainders below this are "finished" (work units are seconds
 /// or MB, both O(1)-O(1e3)).
 constexpr double kEps = 1e-9;
+
+/// The replay's resources. Both latencies are fixed delays progressing at
+/// rate 1 however many tasks wait in them, so they share one clock.
+enum Resource : unsigned { kDelay, kLinkIn, kCpu, kLinkOut, kResources };
+
+/// Resource of each TracePhase (kDone never reaches a heap).
+constexpr Resource kResourceOf[] = {kDelay, kLinkIn, kCpu, kDelay, kLinkOut, kDelay};
+
+Resource resourceOf(TracePhase phase) {
+  return kResourceOf[static_cast<std::uint8_t>(phase)];
+}
+
+/// A task's finish tag on its resource's virtual clock, and its admission
+/// index (position in the task list), which breaks ties between equal tags.
+struct TagEntry {
+  double tag;
+  std::uint32_t index;
+};
+
+/// Heap order: earlier tag first, then lower admission index.
+bool before(const TagEntry& a, const TagEntry& b) {
+  return a.tag < b.tag || (a.tag == b.tag && a.index < b.index);
+}
+
+/// One resource of the replay: its virtual clock V_r and a binary min-heap
+/// on (tag, index) over caller-owned slots.
+struct TagHeap {
+  TagEntry* slot = nullptr;
+  std::uint32_t size = 0;
+  double clock = 0.0;
+
+  void siftUp(std::uint32_t i) {
+    const TagEntry e = slot[i];
+    while (i > 0) {
+      const std::uint32_t parent = (i - 1) / 2;
+      if (!before(e, slot[parent])) break;
+      slot[i] = slot[parent];
+      i = parent;
+    }
+    slot[i] = e;
+  }
+  void siftDown(std::uint32_t i) {
+    const TagEntry e = slot[i];
+    for (;;) {
+      std::uint32_t child = 2 * i + 1;
+      if (child >= size) break;
+      if (child + 1 < size && before(slot[child + 1], slot[child])) ++child;
+      if (!before(slot[child], e)) break;
+      slot[i] = slot[child];
+      i = child;
+    }
+    slot[i] = e;
+  }
+  void push(const TagEntry& e) {
+    slot[size] = e;
+    siftUp(size++);
+  }
+  TagEntry pop() {
+    const TagEntry top = slot[0];
+    if (--size > 0) {
+      slot[0] = slot[size];
+      siftDown(0);
+    }
+    return top;
+  }
+};
+
+/// One flat buffer per thread holding the four heaps (one slot per task each)
+/// and the list of tasks due at an event. It only grows, so a warm caller
+/// replays without touching the heap allocator.
+std::vector<TagEntry>& kernelScratch() {
+  thread_local std::vector<TagEntry> buffer;
+  return buffer;
+}
 }  // namespace
 
 ServerTrace::ServerTrace(ServerModel model) : model_(std::move(model)) {
@@ -26,40 +101,16 @@ bool ServerTrace::hasTask(std::uint64_t taskId) const {
 }
 
 double ServerTrace::phaseAmount(const TraceTask& task, TracePhase phase) const {
-  switch (phase) {
-    case TracePhase::kLatencyIn: return model_.latencyIn;
-    case TracePhase::kTransferIn: return task.dims.inMB;
-    case TracePhase::kCompute: return task.dims.cpuSeconds;
-    case TracePhase::kLatencyOut: return model_.latencyOut;
-    case TracePhase::kTransferOut: return task.dims.outMB;
-    case TracePhase::kDone: return 0.0;
-  }
-  return 0.0;
+  const double amounts[] = {model_.latencyIn,  task.dims.inMB,  task.dims.cpuSeconds,
+                            model_.latencyOut, task.dims.outMB, 0.0};
+  return amounts[static_cast<std::uint8_t>(phase)];
 }
 
 void ServerTrace::enterNextPhase(TraceTask& task) const {
   while (task.phase != TracePhase::kDone && task.remaining <= kEps) {
     task.phase = static_cast<TracePhase>(static_cast<std::uint8_t>(task.phase) + 1);
-    task.remaining = task.phase == TracePhase::kDone ? 0.0 : phaseAmount(task, task.phase);
+    task.remaining = phaseAmount(task, task.phase);
   }
-}
-
-double ServerTrace::phaseRate(TracePhase phase, std::size_t inCount,
-                              std::size_t cpuCount, std::size_t outCount) const {
-  switch (phase) {
-    case TracePhase::kLatencyIn:
-    case TracePhase::kLatencyOut:
-      return 1.0;  // latencies are fixed delays, not shared
-    case TracePhase::kTransferIn:
-      return model_.bwInMBps / static_cast<double>(inCount);
-    case TracePhase::kCompute:
-      return 1.0 / static_cast<double>(cpuCount);
-    case TracePhase::kTransferOut:
-      return model_.bwOutMBps / static_cast<double>(outCount);
-    case TracePhase::kDone:
-      return 0.0;
-  }
-  return 0.0;
 }
 
 template <class DoneF, class SegF>
@@ -69,87 +120,121 @@ void ServerTrace::stepCore(std::vector<TraceTask>& tasks, simcore::SimTime* t,
                            simcore::SimTime* stopCompletion) const {
   constexpr bool kHasDone = !std::is_null_pointer_v<std::decay_t<DoneF>>;
   constexpr bool kHasSegment = !std::is_null_pointer_v<std::decay_t<SegF>>;
-  // Sharer counts per shared resource, maintained incrementally: they only
-  // change at phase transitions, which the loop below already visits. The
-  // counts are integers, so the arithmetic (and its results) is identical to
-  // recounting from scratch every round.
-  std::size_t inCount = 0, cpuCount = 0, outCount = 0;
-  auto adjust = [&](TracePhase phase, std::ptrdiff_t delta) {
-    if (phase == TracePhase::kTransferIn) inCount += static_cast<std::size_t>(delta);
-    else if (phase == TracePhase::kCompute) cpuCount += static_cast<std::size_t>(delta);
-    else if (phase == TracePhase::kTransferOut) outCount += static_cast<std::size_t>(delta);
-  };
-  for (const TraceTask& task : tasks) adjust(task.phase, +1);
+  const std::size_t count = tasks.size();
+  simcore::SimTime now = *t;
+  if (count > 0 && now < bound) {
+    CASCHED_CHECK(count <= std::numeric_limits<std::uint32_t>::max(),
+                  "trace too deep for the replay kernel");
+    std::vector<TagEntry>& scratch = kernelScratch();
+    if (scratch.size() < (kResources + 1) * count) scratch.resize((kResources + 1) * count);
+    TagHeap res[kResources];
+    for (unsigned r = 0; r < kResources; ++r) res[r].slot = scratch.data() + r * count;
+    TagEntry* const due = scratch.data() + kResources * count;
 
-  while (!tasks.empty() && *t < bound) {
-    // Per-phase progress rates, computed once per round (same divisions
-    // phaseRate performs, so the values are bit-identical - just hoisted out
-    // of the per-task loops).
-    const double rateIn =
-        inCount == 0 ? 0.0 : model_.bwInMBps / static_cast<double>(inCount);
-    const double rateCpu = cpuCount == 0 ? 0.0 : 1.0 / static_cast<double>(cpuCount);
-    const double rateOut =
-        outCount == 0 ? 0.0 : model_.bwOutMBps / static_cast<double>(outCount);
-    auto rateOf = [&](TracePhase phase) {
-      switch (phase) {
-        case TracePhase::kLatencyIn:
-        case TracePhase::kLatencyOut: return 1.0;
-        case TracePhase::kTransferIn: return rateIn;
-        case TracePhase::kCompute: return rateCpu;
-        case TracePhase::kTransferOut: return rateOut;
-        case TracePhase::kDone: return 0.0;
-      }
-      return 0.0;
-    };
-    // Time to the next phase completion at current rates.
-    double dt = std::numeric_limits<double>::infinity();
-    for (const TraceTask& task : tasks) {
-      const double rate = rateOf(task.phase);
-      CASCHED_CHECK(rate > 0.0, "trace task with zero progress rate");
-      dt = std::min(dt, task.remaining / rate);
+    // Every clock starts at 0, so a task's tag starts as its remaining amount.
+    unsigned live = 0;  // bit r set <=> resource r has tasks
+    for (std::size_t i = 0; i < count; ++i) {
+      CASCHED_CHECK(tasks[i].phase != TracePhase::kDone, "trace task already done");
+      const unsigned r = resourceOf(tasks[i].phase);
+      res[r].slot[res[r].size++] = TagEntry{tasks[i].remaining, static_cast<std::uint32_t>(i)};
+      live |= 1u << r;
     }
-    const bool clipped = *t + dt > bound;
-    if (clipped) dt = bound - *t;
-    const simcore::SimTime t0 = *t;
-    const simcore::SimTime t1 = t0 + dt;
-    // Integrate and emit segments.
-    for (TraceTask& task : tasks) {
-      const double rate = rateOf(task.phase);
+    for (unsigned m = live; m != 0; m &= m - 1) {
+      TagHeap& h = res[std::countr_zero(m)];
+      for (std::uint32_t i = h.size / 2; i-- > 0;) h.siftDown(i);
+    }
+
+    // Fixed delays progress at rate 1 however many tasks wait in them; the
+    // other resources split their capacity evenly.
+    const double capacity[kResources] = {1.0, model_.bwInMBps, 1.0, model_.bwOutMBps};
+    std::size_t finished = 0;
+    while (live != 0 && now < bound) {
+      // Per-task rate on each live resource; the next event is the earliest
+      // head-of-heap tag reached at those rates.
+      double rate[kResources];
+      double dt = std::numeric_limits<double>::infinity();
+      for (unsigned m = live; m != 0; m &= m - 1) {
+        const unsigned r = static_cast<unsigned>(std::countr_zero(m));
+        rate[r] = r == kDelay ? 1.0 : capacity[r] / static_cast<double>(res[r].size);
+        dt = std::min(dt, (res[r].slot[0].tag - res[r].clock) / rate[r]);
+      }
+      const bool clipped = now + dt > bound;
+      if (clipped) dt = bound - now;
+      const simcore::SimTime t0 = now;
+      now = t0 + dt;
       if constexpr (kHasSegment) {
         if (dt > kEps) {
-          double share = 1.0;
-          if (task.phase == TracePhase::kTransferIn) share = 1.0 / static_cast<double>(inCount);
-          else if (task.phase == TracePhase::kCompute) share = 1.0 / static_cast<double>(cpuCount);
-          else if (task.phase == TracePhase::kTransferOut) share = 1.0 / static_cast<double>(outCount);
-          onSegment(task, t0, t1, share);
+          for (const TraceTask& task : tasks) {
+            if (task.phase == TracePhase::kDone) continue;
+            const unsigned r = resourceOf(task.phase);
+            onSegment(task, t0, now, r == kDelay ? 1.0 : 1.0 / static_cast<double>(res[r].size));
+          }
         }
       }
-      task.remaining = std::max(0.0, task.remaining - rate * dt);
-    }
-    *t = t1;
-    // Phase transitions and completions.
-    for (auto it = tasks.begin(); it != tasks.end();) {
-      if (it->remaining <= kEps) {
-        const TracePhase from = it->phase;
-        enterNextPhase(*it);
-        adjust(from, -1);
-        if (it->phase == TracePhase::kDone) {
-          if constexpr (kHasDone) onDone(*it, *t);
-          const bool stop = stopTaskId != nullptr && it->taskId == *stopTaskId;
-          it = tasks.erase(it);
-          if (stop) {
-            if (stopCompletion != nullptr) *stopCompletion = *t;
-            return;
+
+      // Clocks advance eagerly at every event, so V_r stays small and exact
+      // enough for `tag - V_r` to resolve kEps at any trace date. Then every
+      // task whose phase ends now is popped; an emptied resource restarts its
+      // clock at 0.
+      std::size_t dueCount = 0;
+      for (unsigned m = live; m != 0; m &= m - 1) {
+        const unsigned r = static_cast<unsigned>(std::countr_zero(m));
+        TagHeap& h = res[r];
+        h.clock += rate[r] * dt;
+        while (h.size > 0 && h.slot[0].tag - h.clock <= kEps) due[dueCount++] = h.pop();
+        if (h.size == 0) {
+          h.clock = 0.0;
+          live &= ~(1u << r);
+        }
+      }
+      // Phase transitions and completions in admission order.
+      if (dueCount > 1) {
+        std::sort(due, due + dueCount,
+                  [](const TagEntry& a, const TagEntry& b) { return a.index < b.index; });
+      }
+      for (std::size_t d = 0; d < dueCount; ++d) {
+        TraceTask& task = tasks[due[d].index];
+        task.remaining = 0.0;
+        enterNextPhase(task);
+        if (task.phase == TracePhase::kDone) {
+          if constexpr (kHasDone) onDone(task, now);
+          if (stopTaskId != nullptr && task.taskId == *stopTaskId) {
+            if (stopCompletion != nullptr) *stopCompletion = now;
+            *t = now;
+            return;  // `tasks` is consumed on this path
           }
+          ++finished;
           continue;
         }
-        adjust(it->phase, +1);
+        const unsigned r = resourceOf(task.phase);
+        res[r].push(TagEntry{res[r].clock + task.remaining, due[d].index});
+        live |= 1u << r;
       }
-      ++it;
+      if (clipped) break;
     }
-    if (clipped) break;
+
+    // Back to the public state: work left at the trace clock, finished tasks
+    // dropped, admission order kept.
+    if (live == 0) {
+      tasks.clear();
+    } else {
+      for (unsigned m = live; m != 0; m &= m - 1) {
+        const TagHeap& h = res[std::countr_zero(m)];
+        for (std::uint32_t j = 0; j < h.size; ++j) {
+          tasks[h.slot[j].index].remaining = h.slot[j].tag - h.clock;
+        }
+      }
+      if (finished > 0) {
+        tasks.erase(std::remove_if(tasks.begin(), tasks.end(),
+                                   [](const TraceTask& task) {
+                                     return task.phase == TracePhase::kDone;
+                                   }),
+                    tasks.end());
+      }
+    }
   }
-  if (*t < bound && bound != simcore::kTimeInfinity) *t = bound;
+  if (now < bound && bound != simcore::kTimeInfinity) now = bound;
+  *t = now;
 }
 
 void ServerTrace::advanceTo(simcore::SimTime to) {

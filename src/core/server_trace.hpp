@@ -5,7 +5,15 @@
 /// analytically: every admitted task moves through latency -> input transfer
 /// -> compute -> latency -> output transfer, transfers sharing the link and
 /// computes sharing the CPU in equal parts. With noise off, predictions match
-/// the ground-truth simulator to floating point (property-tested).
+/// the ground-truth simulator to floating point (tests/htm_oracle_test.cpp).
+///
+/// The replay is a virtual-time processor-sharing kernel (the GPS technique
+/// of Parekh & Gallager, 1993). Each shared resource keeps a virtual clock
+/// that advances at the per-task rate - the in-link at bwIn/n, the CPU at 1/n,
+/// the out-link at bwOut/n, fixed delays at 1 - so a task's phase ends when
+/// its resource's clock reaches the finish tag fixed when it entered the
+/// phase. One min-heap of tags per resource yields the next event in
+/// O(log k), and replaying k tasks to completion costs O(k log k).
 
 #include <cstdint>
 #include <map>
@@ -153,7 +161,16 @@ class ServerTrace {
   /// concrete lambdas or nullptr so every call site inlines fully (the
   /// preview path runs this thousands of times per scheduling decision).
   /// When `stopTaskId` is non-null the loop returns right after that task
-  /// completes, with its completion date in `*stopCompletion`.
+  /// completes, with its completion date in `*stopCompletion`, leaving
+  /// `tasks` consumed.
+  ///
+  /// The virtual-time kernel: on entry every task's tag is its `remaining`
+  /// on a clock at 0; each event advances every live clock by rate * dt, pops
+  /// the tasks with tag - clock <= 1e-9 and moves them, in admission order,
+  /// into their next phase (or out, when done); equal tags pop in admission
+  /// order; an emptied resource restarts its clock at 0; on exit `remaining`
+  /// is tag - clock again. An event costs O(log k), plus O(k) segments when
+  /// `onSegment` is set (the Gantt path only).
   template <class DoneF, class SegF>
   void stepCore(std::vector<TraceTask>& tasks, simcore::SimTime* t,
                 simcore::SimTime bound, DoneF&& onDone, SegF&& onSegment,
@@ -162,8 +179,6 @@ class ServerTrace {
 
   double phaseAmount(const TraceTask& task, TracePhase phase) const;
   void enterNextPhase(TraceTask& task) const;
-  double phaseRate(TracePhase phase, std::size_t inCount, std::size_t cpuCount,
-                   std::size_t outCount) const;
 
   ServerModel model_;
   std::vector<TraceTask> tasks_;  // admission order (stable, deterministic)
