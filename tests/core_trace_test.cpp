@@ -5,7 +5,14 @@
 
 #include "util/error.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "core/server_trace.hpp"
+#include "simcore/rng.hpp"
 
 namespace casched::core {
 namespace {
@@ -213,6 +220,131 @@ TEST(ServerTrace, PhaseNames) {
   EXPECT_EQ(tracePhaseName(TracePhase::kCompute), "compute");
   EXPECT_EQ(tracePhaseName(TracePhase::kTransferIn), "transfer-in");
   EXPECT_EQ(tracePhaseName(TracePhase::kDone), "done");
+}
+
+// --- the virtual-time replay kernel ------------------------------------------
+
+/// A trace with `depth` tasks in every phase mix: staggered admissions (each
+/// admit advances the trace), some zero-MB transfers and some twins admitted
+/// at the same instant with identical dims.
+ServerTrace deepTrace(std::size_t depth, std::uint64_t seed) {
+  simcore::RandomStream rng(seed);
+  ServerTrace trace(bareModel(8.0, 6.0, 0.05, 0.02));
+  double at = 0.0;
+  TaskDims dims;
+  for (std::uint64_t id = 1; id <= depth; ++id) {
+    if (id == 1 || !rng.bernoulli(0.1)) {
+      at += rng.exponentialMean(0.05);
+      dims = TaskDims{rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 30.0),
+                      rng.uniform(1.0, 60.0),
+                      rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 10.0)};
+    }
+    trace.admit(id, dims, at, 0.01);
+  }
+  return trace;
+}
+
+TEST(TraceKernel, SplitAdvanceMatchesOneShotPrediction) {
+  // Tags are rebased on every call: advancing in 50 random steps and then
+  // predicting must give the dates of one prediction from the start.
+  const ServerTrace start = deepTrace(200, 5);
+  ASSERT_EQ(start.activeTasks(), 200u);
+  const auto oneShot = start.predictCompletions();
+  std::vector<double> ends;
+  for (const auto& [id, when] : oneShot) ends.push_back(when);
+  std::sort(ends.begin(), ends.end());
+  const double until = ends[ends.size() / 2];  // about half the tasks retire
+
+  simcore::RandomStream rng(9);
+  std::vector<double> steps;
+  for (int i = 0; i < 49; ++i) steps.push_back(rng.uniform(start.now(), until));
+  steps.push_back(until);
+  std::sort(steps.begin(), steps.end());
+  ServerTrace split = start;
+  for (double step : steps) split.advanceTo(step);
+
+  const auto afterSplit = split.predictCompletions();
+  EXPECT_GT(afterSplit.size(), 50u);
+  EXPECT_LT(afterSplit.size(), 150u);
+  for (const auto& [id, when] : oneShot) {
+    const auto it = afterSplit.find(id);
+    if (it == afterSplit.end()) {
+      EXPECT_LE(when, until * (1.0 + 1e-12)) << "task " << id << " retired early";
+      continue;
+    }
+    EXPECT_NEAR(it->second, when, 1e-12 * when) << "task " << id;
+  }
+}
+
+TEST(TraceKernel, EqualTagsCompleteTogetherInAdmissionOrder) {
+  ServerTrace trace(bareModel(10.0, 10.0));
+  // Three twins share the CPU (10/3 s of work each at 1/3 speed) and a lone
+  // transfer holds the in-link (100 MB at 10 MB/s): all four end at t = 10.
+  // Ids are out of order so admission order is what the output must follow.
+  const TaskDims twin{0.0, 10.0 / 3.0, 0.0};
+  trace.admit(9, twin, 0.0);
+  trace.admit(4, twin, 0.0);
+  trace.admit(7, twin, 0.0);
+  trace.admit(2, TaskDims{100.0, 0.0, 0.0}, 0.0);
+
+  std::vector<TraceTask> tasks;
+  simcore::SimTime t = 0.0;
+  trace.copyAdvanced(tasks, &t, 0.0);
+  std::vector<PredictedEntry> done;
+  trace.completeInto(tasks, t, done);
+  ASSERT_EQ(done.size(), 4u);
+  EXPECT_EQ(done[0].taskId, 9u);
+  EXPECT_EQ(done[1].taskId, 4u);
+  EXPECT_EQ(done[2].taskId, 7u);
+  EXPECT_EQ(done[3].taskId, 2u);
+  EXPECT_EQ(done[0].completion, done[1].completion);
+  EXPECT_EQ(done[1].completion, done[2].completion);
+  EXPECT_NEAR(done[0].completion, 10.0, 1e-9);
+  EXPECT_NEAR(done[3].completion, 10.0, 1e-9);
+}
+
+TEST(TraceKernel, CompleteOneMatchesCompleteIntoBitForBitAtDepth200) {
+  const ServerTrace trace = deepTrace(200, 11);
+  std::vector<TraceTask> base;
+  simcore::SimTime t = 0.0;
+  trace.copyAdvanced(base, &t, trace.now() + 1.0);
+  ASSERT_GT(base.size(), 150u);
+
+  std::vector<TraceTask> work = base;
+  std::vector<PredictedEntry> all;
+  trace.completeInto(work, t, all);
+  ASSERT_EQ(all.size(), base.size());
+  for (std::size_t i : {std::size_t{0}, base.size() / 2, base.size() - 1}) {
+    const std::uint64_t id = base[i].taskId;
+    work = base;
+    const simcore::SimTime one = trace.completeOne(work, t, id);
+    const auto it = std::find_if(all.begin(), all.end(),
+                                 [id](const PredictedEntry& e) { return e.taskId == id; });
+    ASSERT_NE(it, all.end());
+    EXPECT_EQ(one, it->completion) << "task " << id;
+  }
+}
+
+TEST(TraceKernel, GanttSharesSumToOnePerSharedResource) {
+  const GanttChart chart = deepTrace(60, 17).simulateGantt();
+  ASSERT_FALSE(chart.empty());
+  // Sum the shares of every (interval, shared phase); latencies are fixed
+  // delays and are not shared.
+  std::map<std::tuple<double, double, std::uint8_t>, double> sums;
+  for (const GanttSegment& seg : chart.segments) {
+    const auto phase = static_cast<TracePhase>(seg.phase);
+    if (phase == TracePhase::kLatencyIn || phase == TracePhase::kLatencyOut) {
+      EXPECT_EQ(seg.share, 1.0);
+      continue;
+    }
+    sums[{seg.start, seg.end, seg.phase}] += seg.share;
+  }
+  ASSERT_GT(sums.size(), 100u);
+  for (const auto& [key, total] : sums) {
+    EXPECT_NEAR(total, 1.0, 1e-12) << "interval [" << std::get<0>(key) << ", "
+                                   << std::get<1>(key) << ") phase "
+                                   << int(std::get<2>(key));
+  }
 }
 
 }  // namespace
