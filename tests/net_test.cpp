@@ -665,11 +665,16 @@ TEST(MultiAgent, MutualPeerConfigurationKeepsOneLinkPerPair) {
                                  beta.connectedPeerCount() == 1;
                         },
                         5.0));
-  // And the single link is stable: more pumping never resurrects a duplicate.
-  const WallDeadline settle(0.3);
-  while (!settle.passed()) {
-    for (const auto& pump : pumps) pump();
-  }
+  // And the single link is stable: three more sync rounds each way never
+  // resurrect a duplicate.
+  const std::uint64_t alphaSyncs = alpha.syncsReceived();
+  const std::uint64_t betaSyncs = beta.syncsReceived();
+  ASSERT_TRUE(pumpUntil(pumps,
+                        [&] {
+                          return alpha.syncsReceived() >= alphaSyncs + 3 &&
+                                 beta.syncsReceived() >= betaSyncs + 3;
+                        },
+                        30.0));
   EXPECT_EQ(alpha.connectedPeerCount(), 1u);
   EXPECT_EQ(beta.connectedPeerCount(), 1u);
 }
