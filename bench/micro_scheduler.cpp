@@ -1,7 +1,8 @@
 /// Micro-benchmarks (google-benchmark) for the scheduling path. The paper
 /// notes a scheduling decision costs "less than 0.01 second in most cases";
-/// these benches verify our implementation is far below that bound and show
-/// how the HTM preview scales with the number of in-flight tasks per server.
+/// these benches verify our implementation is far below that bound and sweep
+/// the in-flight depth per server (0-256 tasks) so the HTM's scaling shows:
+/// preview and commit replay a trace in O(k log k).
 
 #include <benchmark/benchmark.h>
 
@@ -67,7 +68,8 @@ void BM_HtmPreview(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(tasks) + " tasks in trace");
 }
-BENCHMARK(BM_HtmPreview)->Arg(4)->Arg(16)->Arg(64)->Arg(128);
+BENCHMARK(BM_HtmPreview)
+    ->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64)->Arg(128)->Arg(256);
 
 void BM_HtmCommitAndAdvance(benchmark::State& state) {
   const auto tasks = static_cast<std::size_t>(state.range(0));
@@ -81,7 +83,7 @@ void BM_HtmCommitAndAdvance(benchmark::State& state) {
     now += 0.001;
   }
 }
-BENCHMARK(BM_HtmCommitAndAdvance)->Arg(16)->Arg(64);
+BENCHMARK(BM_HtmCommitAndAdvance)->Arg(1)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
 template <typename SchedulerT>
 void BM_Decision(benchmark::State& state) {
@@ -95,9 +97,9 @@ void BM_Decision(benchmark::State& state) {
   state.SetLabel("4 servers x " + std::to_string(tasksPerServer) + " tasks");
 }
 BENCHMARK_TEMPLATE(BM_Decision, core::MctScheduler)->Arg(16)->Arg(64);
-BENCHMARK_TEMPLATE(BM_Decision, core::HmctScheduler)->Arg(16)->Arg(64);
+BENCHMARK_TEMPLATE(BM_Decision, core::HmctScheduler)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK_TEMPLATE(BM_Decision, core::MpScheduler)->Arg(16)->Arg(64);
-BENCHMARK_TEMPLATE(BM_Decision, core::MsfScheduler)->Arg(16)->Arg(64);
+BENCHMARK_TEMPLATE(BM_Decision, core::MsfScheduler)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK_TEMPLATE(BM_Decision, core::MniScheduler)->Arg(16)->Arg(64);
 
 // --- the full agent decision path (what a kScheduleRequest costs) ---
