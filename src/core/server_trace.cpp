@@ -1,7 +1,6 @@
 #include "core/server_trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <limits>
 #include <type_traits>
@@ -81,6 +80,28 @@ struct TagHeap {
   }
 };
 
+/// Calls f(std::integral_constant<unsigned, r>{}) for every resource r in
+/// order. Indexing per-resource state with a compile-time r keeps it in
+/// registers through the event loop.
+template <class F>
+void forEachResource(F&& f) {
+  f(std::integral_constant<unsigned, kDelay>{});
+  f(std::integral_constant<unsigned, kLinkIn>{});
+  f(std::integral_constant<unsigned, kCpu>{});
+  f(std::integral_constant<unsigned, kLinkOut>{});
+}
+
+/// Calls f(std::integral_constant<unsigned, r>{}) for a run-time resource r.
+template <class F>
+void withResource(unsigned r, F&& f) {
+  switch (r) {
+    case kDelay: f(std::integral_constant<unsigned, kDelay>{}); break;
+    case kLinkIn: f(std::integral_constant<unsigned, kLinkIn>{}); break;
+    case kCpu: f(std::integral_constant<unsigned, kCpu>{}); break;
+    default: f(std::integral_constant<unsigned, kLinkOut>{}); break;
+  }
+}
+
 /// One flat buffer per thread holding the four heaps (one slot per task each)
 /// and the list of tasks due at an event. It only grows, so a warm caller
 /// replays without touching the heap allocator.
@@ -128,36 +149,34 @@ void ServerTrace::stepCore(std::vector<TraceTask>& tasks, simcore::SimTime* t,
     std::vector<TagEntry>& scratch = kernelScratch();
     if (scratch.size() < (kResources + 1) * count) scratch.resize((kResources + 1) * count);
     TagHeap res[kResources];
-    for (unsigned r = 0; r < kResources; ++r) res[r].slot = scratch.data() + r * count;
+    forEachResource([&](auto r) { res[r].slot = scratch.data() + r * count; });
     TagEntry* const due = scratch.data() + kResources * count;
 
     // Every clock starts at 0, so a task's tag starts as its remaining amount.
-    unsigned live = 0;  // bit r set <=> resource r has tasks
     for (std::size_t i = 0; i < count; ++i) {
       CASCHED_CHECK(tasks[i].phase != TracePhase::kDone, "trace task already done");
-      const unsigned r = resourceOf(tasks[i].phase);
-      res[r].slot[res[r].size++] = TagEntry{tasks[i].remaining, static_cast<std::uint32_t>(i)};
-      live |= 1u << r;
+      withResource(resourceOf(tasks[i].phase), [&](auto r) {
+        res[r].slot[res[r].size++] = TagEntry{tasks[i].remaining, static_cast<std::uint32_t>(i)};
+      });
     }
-    for (unsigned m = live; m != 0; m &= m - 1) {
-      TagHeap& h = res[std::countr_zero(m)];
-      for (std::uint32_t i = h.size / 2; i-- > 0;) h.siftDown(i);
-    }
+    forEachResource([&](auto r) {
+      for (std::uint32_t i = res[r].size / 2; i-- > 0;) res[r].siftDown(i);
+    });
 
     // Fixed delays progress at rate 1 however many tasks wait in them; the
     // other resources split their capacity evenly.
     const double capacity[kResources] = {1.0, model_.bwInMBps, 1.0, model_.bwOutMBps};
     std::size_t finished = 0;
-    while (live != 0 && now < bound) {
-      // Per-task rate on each live resource; the next event is the earliest
+    while (finished < count && now < bound) {
+      // Per-task rate on each busy resource; the next event is the earliest
       // head-of-heap tag reached at those rates.
-      double rate[kResources];
+      double rate[kResources] = {};
       double dt = std::numeric_limits<double>::infinity();
-      for (unsigned m = live; m != 0; m &= m - 1) {
-        const unsigned r = static_cast<unsigned>(std::countr_zero(m));
+      forEachResource([&](auto r) {
+        if (res[r].size == 0) return;
         rate[r] = r == kDelay ? 1.0 : capacity[r] / static_cast<double>(res[r].size);
         dt = std::min(dt, (res[r].slot[0].tag - res[r].clock) / rate[r]);
-      }
+      });
       const bool clipped = now + dt > bound;
       if (clipped) dt = bound - now;
       const simcore::SimTime t0 = now;
@@ -171,23 +190,20 @@ void ServerTrace::stepCore(std::vector<TraceTask>& tasks, simcore::SimTime* t,
           }
         }
       }
-
       // Clocks advance eagerly at every event, so V_r stays small and exact
       // enough for `tag - V_r` to resolve kEps at any trace date. Then every
       // task whose phase ends now is popped; an emptied resource restarts its
       // clock at 0.
       std::size_t dueCount = 0;
-      for (unsigned m = live; m != 0; m &= m - 1) {
-        const unsigned r = static_cast<unsigned>(std::countr_zero(m));
+      forEachResource([&](auto r) {
         TagHeap& h = res[r];
+        if (h.size == 0) return;
         h.clock += rate[r] * dt;
         while (h.size > 0 && h.slot[0].tag - h.clock <= kEps) due[dueCount++] = h.pop();
-        if (h.size == 0) {
-          h.clock = 0.0;
-          live &= ~(1u << r);
-        }
-      }
-      // Phase transitions and completions in admission order.
+        if (h.size == 0) h.clock = 0.0;
+      });
+      // Phase transitions and completions in admission order; a task entering
+      // a phase gets the tag V_r + amount.
       if (dueCount > 1) {
         std::sort(due, due + dueCount,
                   [](const TagEntry& a, const TagEntry& b) { return a.index < b.index; });
@@ -206,24 +222,25 @@ void ServerTrace::stepCore(std::vector<TraceTask>& tasks, simcore::SimTime* t,
           ++finished;
           continue;
         }
-        const unsigned r = resourceOf(task.phase);
-        res[r].push(TagEntry{res[r].clock + task.remaining, due[d].index});
-        live |= 1u << r;
+        const std::uint32_t index = due[d].index;
+        const double amount = task.remaining;
+        withResource(resourceOf(task.phase),
+                     [&](auto r) { res[r].push(TagEntry{res[r].clock + amount, index}); });
       }
       if (clipped) break;
     }
 
     // Back to the public state: work left at the trace clock, finished tasks
     // dropped, admission order kept.
-    if (live == 0) {
+    if (finished == count) {
       tasks.clear();
     } else {
-      for (unsigned m = live; m != 0; m &= m - 1) {
-        const TagHeap& h = res[std::countr_zero(m)];
+      forEachResource([&](auto r) {
+        const TagHeap& h = res[r];
         for (std::uint32_t j = 0; j < h.size; ++j) {
           tasks[h.slot[j].index].remaining = h.slot[j].tag - h.clock;
         }
-      }
+      });
       if (finished > 0) {
         tasks.erase(std::remove_if(tasks.begin(), tasks.end(),
                                    [](const TraceTask& task) {
