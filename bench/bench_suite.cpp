@@ -20,11 +20,14 @@
 #include <fstream>
 #include <iostream>
 
-#include "bench_common.hpp"
 #include "exp/report.hpp"
+#include "exp/suite.hpp"
 #include "exp/tables.hpp"
 #include "obs/decision.hpp"
 #include "obs/trace.hpp"
+#include "scenario/registry.hpp"
+#include "util/cli.hpp"
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace {
@@ -43,6 +46,39 @@ std::vector<std::string> commaList(const std::string& value) {
     if (!trimmed.empty()) out.push_back(trimmed);
   }
   return out;
+}
+
+casched::exp::SuiteOptions suiteOptionsFromFlags(const casched::util::ArgParser& args) {
+  using namespace casched;
+  exp::SuiteOptions options;
+  options.seed = static_cast<std::uint64_t>(args.getInt("seed"));
+  options.taskCount = static_cast<std::size_t>(args.getInt("tasks"));
+  options.replications = static_cast<std::size_t>(args.getInt("replications"));
+  options.metatasks = static_cast<std::size_t>(args.getInt("metatasks"));
+  options.threads = static_cast<unsigned>(args.getInt("threads"));
+  options.heuristics = commaList(args.getString("heuristics"));
+  if (!args.getString("ft").empty()) {
+    options.ftPolicy = exp::parseFaultTolerancePolicy(args.getString("ft"));
+  }
+  return options;
+}
+
+/// Prints one suite scenario: its paper-style table, per-server diagnostics
+/// for unswept campaigns, and the perf record.
+void printSuiteScenario(const casched::exp::SuiteScenarioResult& s) {
+  using namespace casched;
+  exp::renderSuiteScenarioTable(s).print(std::cout);
+  if (!s.swept()) {
+    std::cout << "\n";
+    exp::renderServerDiagnostics(
+        "Per-server diagnostics (first run of each heuristic)",
+        s.variants.front().result)
+        .print(std::cout);
+  }
+  std::cout << util::strformat(
+      "\n[perf] %s: %.0f events/s (%llu events in %.2fs)\n", s.scenario.c_str(),
+      s.eventsPerSecond(), static_cast<unsigned long long>(s.simulatedEvents),
+      s.wallSeconds);
 }
 
 void emitComparison(const casched::exp::ReportSuite& a,
@@ -81,7 +117,15 @@ int main(int argc, char** argv) {
   args.addDouble("compare-threshold", 10.0,
                  "direction-aware regression flag threshold for comparisons, "
                  "in percent");
-  bench::addSuiteFlags(args);
+  // Suite-level overrides of what each registry scenario declares.
+  args.addInt("seed", 42, "master seed");
+  args.addInt("tasks", 0, "tasks per metatask (0 = scenario value)");
+  args.addInt("replications", 0, "replications per metatask (0 = scenario value)");
+  args.addInt("metatasks", 0, "distinct metatasks (0 = scenario value)");
+  args.addString("heuristics", "", "heuristic list override (comma-separated)");
+  args.addString("ft", "", "fault-tolerance policy override: scenario|paper|all|none");
+  args.addInt("threads", 0, "replication threads (0 = hardware)");
+  args.addString("out", "bench_out", "output directory for table/CSV/JSON twins");
   try {
     if (!args.parse(argc, argv)) return 0;
 
@@ -100,10 +144,10 @@ int main(int argc, char** argv) {
     }
 
     const std::vector<std::string> names =
-        bench::resolveScenarioList(args.getString("scenarios").empty()
-                                       ? args.getString("suite")
-                                       : args.getString("scenarios"));
-    exp::SuiteOptions options = bench::suiteOptionsFromFlags(args);
+        scenario::resolveScenarioList(args.getString("scenarios").empty()
+                                          ? args.getString("suite")
+                                          : args.getString("scenarios"));
+    exp::SuiteOptions options = suiteOptionsFromFlags(args);
 
     // Seed-vs-seed re-planning study: the same campaign twice, only the
     // master seed differs, so every delta is replication noise or a genuine
@@ -130,7 +174,7 @@ int main(int argc, char** argv) {
                     << std::flush;
           suite.scenarios.push_back(
               exp::runSuiteScenario(scenario::findScenario(name), seeded));
-          bench::printSuiteScenario(suite.scenarios.back());
+          printSuiteScenario(suite.scenarios.back());
           std::cout << "\n";
         }
         const std::string base = args.getString("json") + "_seed" + seedText;
@@ -159,7 +203,7 @@ int main(int argc, char** argv) {
       std::cout << "=== " << name << " ===\n" << std::flush;
       suite.scenarios.push_back(
           exp::runSuiteScenario(scenario::findScenario(name), options));
-      bench::printSuiteScenario(suite.scenarios.back());
+      printSuiteScenario(suite.scenarios.back());
       std::cout << "\n";
     }
 

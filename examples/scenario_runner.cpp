@@ -1,10 +1,12 @@
 /// Scenario runner: compiles a declarative scenario (registry entry or file)
 /// and runs it under one or more heuristics, printing a comparison table and
-/// the membership events that fired.
+/// the membership events that fired. It is the only front end that runs a
+/// scenario file, and the only one that runs a scenario's [mesh] topology in
+/// the simulator; bench_suite campaigns run every scenario on one agent.
+/// `casched_report --registry` lists the registry entries.
 ///
 ///   ./scenario_runner --scenario churny-grid --heuristics mct,hmct
 ///   ./scenario_runner --file my.scn --seed 7
-///   ./scenario_runner --list
 
 #include <iostream>
 
@@ -26,19 +28,8 @@ int main(int argc, char** argv) {
   args.addString("heuristics", "mct,hmct,mp,msf", "comma-separated heuristics");
   args.addInt("seed", 42, "master seed");
   args.addString("ft", "scenario", "fault tolerance: scenario | paper | all | none");
-  args.addBool("list", false, "list registry scenarios and exit");
   try {
     if (!args.parse(argc, argv)) return 0;
-
-    if (args.getBool("list")) {
-      for (const std::string& name : scenario::scenarioNames()) {
-        const scenario::ScenarioSpec s = scenario::findScenario(name);
-        std::cout << util::strformat("%-26s %s%s\n", name.c_str(),
-                                     s.description.c_str(),
-                                     s.sweep.empty() ? "" : " [sweep]");
-      }
-      return 0;
-    }
 
     const std::string file = args.getString("file");
     const scenario::ScenarioSpec spec =

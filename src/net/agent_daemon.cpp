@@ -298,18 +298,8 @@ void AgentDaemon::pollPeers() {
       peer.nextDialAt = sim_.now() + config_.peerRedialPeriod;
       // Parse before dialing, so a malformed address is dropped for good
       // instead of masquerading as a transiently unreachable peer.
-      std::string host;
-      int port = 0;
-      const auto colon = peer.address.rfind(':');
-      if (colon != std::string::npos) {
-        host = peer.address.substr(0, colon);
-        try {
-          port = std::stoi(peer.address.substr(colon + 1));
-        } catch (const std::exception&) {
-          port = 0;
-        }
-      }
-      if (host.empty() || port <= 0 || port > 0xFFFF) {
+      const std::optional<util::HostPort> endpoint = util::parseHostPort(peer.address);
+      if (!endpoint) {
         LOG_WARN("agent " << config_.agentName << ": bad peer address '"
                           << peer.address << "'");
         peer.address.clear();  // never dial garbage again
@@ -317,7 +307,7 @@ void AgentDaemon::pollPeers() {
       }
       peerDialsCounter().inc();
       try {
-        peer.transport = wire::TcpTransport::connect(host, static_cast<std::uint16_t>(port));
+        peer.transport = wire::TcpTransport::connect(endpoint->host, endpoint->port);
         peer.helloSent = false;
         sendHello(peer);
         LOG_INFO("agent " << config_.agentName << ": dialed peer " << peer.address);
@@ -571,13 +561,7 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
         // Client hello: an empty-name heartbeat identifies a connection as a
         // client before its first request, exempting it from the
         // never-identified pending timeout.
-        auto inPending =
-            std::find_if(pending_.begin(), pending_.end(),
-                         [&](const auto& p) { return p.first == transport; });
-        if (inPending != pending_.end()) {
-          pending_.erase(inPending);
-          clients_.push_back(transport);
-        }
+        promoteToClient(transport);
         return;
       }
       refresh(m.serverName);
@@ -652,12 +636,7 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
     case MessageType::kStatsRequest: {
       // Operator connection asking for the metrics registry; treat it like a
       // client from now on so the pending timeout leaves it alone.
-      auto inPending = std::find_if(pending_.begin(), pending_.end(),
-                                    [&](const auto& p) { return p.first == transport; });
-      if (inPending != pending_.end()) {
-        pending_.erase(inPending);
-        clients_.push_back(transport);
-      }
+      promoteToClient(transport);
       const wire::StatsRequestMsg m = wire::decodeStatsRequest(frame.payload);
       wire::StatsReplyMsg reply;
       reply.agentName = config_.agentName;
@@ -685,12 +664,7 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
         return;
       }
       try {
-        workload::TaskInstance task;
-        task.index = m.task.taskId;
-        task.arrival = sim_.now();
-        task.type = workload::makeSyntheticType(m.task.problem, m.task.inMB,
-                                                m.task.refSeconds, m.task.outMB,
-                                                m.task.memMB);
+        const workload::TaskInstance task = taskFromRequest(m.task);
         routeRequest(transport, m.task, task, m.hops, m.originAgent, sim_.now());
       } catch (const util::Error& e) {
         denyRequest(transport, m.task.taskId, m.originAgent, e.what());
@@ -710,12 +684,7 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
       // Fall back to local scheduling when anything here can run it (fault
       // tolerance takes over); otherwise pass the refusal on to the client.
       try {
-        workload::TaskInstance task;
-        task.index = original.taskId;
-        task.arrival = sim_.now();
-        task.type = workload::makeSyntheticType(original.problem, original.inMB,
-                                                original.refSeconds, original.outMB,
-                                                original.memMB);
+        workload::TaskInstance task = taskFromRequest(original);
         if (agent_.hasFeasibleServer(task.type.name)) {
           scheduleBatch_.push_back(std::move(task));  // taskClients_ still set
           return;
@@ -756,12 +725,7 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
           continue;
         }
         try {
-          workload::TaskInstance task;
-          task.index = req.taskId;
-          task.arrival = sim_.now();
-          task.type = workload::makeSyntheticType(req.problem, req.inMB,
-                                                  req.refSeconds, req.outMB,
-                                                  req.memMB);
+          workload::TaskInstance task = taskFromRequest(req);
           ++meshSteals_;
           taskClients_[req.taskId] = transport;
           taskOrigins_[req.taskId] = "steal:" + m.agentName;
@@ -779,12 +743,7 @@ void AgentDaemon::handleFrame(const std::shared_ptr<wire::TcpTransport>& transpo
     }
     case MessageType::kResolverProbe: {
       // A probing connection is a client from now on.
-      auto inPending = std::find_if(pending_.begin(), pending_.end(),
-                                    [&](const auto& p) { return p.first == transport; });
-      if (inPending != pending_.end()) {
-        pending_.erase(inPending);
-        clients_.push_back(transport);
-      }
+      promoteToClient(transport);
       const wire::ResolverProbeMsg m = wire::decodeResolverProbe(frame.payload);
       wire::ResolverInfoMsg info;
       info.agentName = config_.agentName;
@@ -884,15 +843,29 @@ void AgentDaemon::onRegister(const std::shared_ptr<wire::TcpTransport>& transpor
   it->second.transport->send(wire::MessageType::kRegisterAck, wire::encode(ack));
 }
 
-void AgentDaemon::onScheduleRequest(const std::shared_ptr<wire::TcpTransport>& transport,
-                                    const wire::ScheduleRequestMsg& msg) {
-  // The connection is now known to be a client.
+void AgentDaemon::promoteToClient(const std::shared_ptr<wire::TcpTransport>& transport) {
   auto inPending = std::find_if(pending_.begin(), pending_.end(),
                                 [&](const auto& p) { return p.first == transport; });
   if (inPending != pending_.end()) {
     pending_.erase(inPending);
     clients_.push_back(transport);
   }
+}
+
+workload::TaskInstance AgentDaemon::taskFromRequest(
+    const wire::ScheduleRequestMsg& msg) const {
+  workload::TaskInstance task;
+  task.index = msg.taskId;
+  task.arrival = sim_.now();
+  task.type = workload::makeSyntheticType(msg.problem, msg.inMB, msg.refSeconds,
+                                          msg.outMB, msg.memMB);
+  return task;
+}
+
+void AgentDaemon::onScheduleRequest(const std::shared_ptr<wire::TcpTransport>& transport,
+                                    const wire::ScheduleRequestMsg& msg) {
+  // The connection is now known to be a client.
+  promoteToClient(transport);
 
   // Task ids are client-chosen; reusing one (another client, or a replayed
   // metatask against a long-lived agent) would corrupt or shadow the first
@@ -923,11 +896,7 @@ void AgentDaemon::onScheduleRequest(const std::shared_ptr<wire::TcpTransport>& t
   }
 
   try {
-    workload::TaskInstance task;
-    task.index = msg.taskId;
-    task.arrival = sim_.now();
-    task.type = workload::makeSyntheticType(msg.problem, msg.inMB, msg.refSeconds,
-                                            msg.outMB, msg.memMB);
+    workload::TaskInstance task = taskFromRequest(msg);
     if (config_.meshEnabled) {
       routeRequest(transport, msg, task, 0, "", sim_.now());
       return;
@@ -1060,12 +1029,7 @@ void AgentDaemon::retryDeferredRoutes() {
       continue;
     }
     try {
-      workload::TaskInstance task;
-      task.index = route.msg.taskId;
-      task.arrival = sim_.now();
-      task.type = workload::makeSyntheticType(route.msg.problem, route.msg.inMB,
-                                              route.msg.refSeconds, route.msg.outMB,
-                                              route.msg.memMB);
+      const workload::TaskInstance task = taskFromRequest(route.msg);
       routeRequest(requester, route.msg, task, route.hops, route.fromAgent,
                    route.firstSeen);
     } catch (const util::Error& e) {
@@ -1094,11 +1058,7 @@ void AgentDaemon::reclaimForwarded(const std::string& peerName) {
     auto client = taskClients_.find(msg.taskId);
     if (client != taskClients_.end()) requester = client->second.lock();
     try {
-      workload::TaskInstance task;
-      task.index = msg.taskId;
-      task.arrival = sim_.now();
-      task.type = workload::makeSyntheticType(msg.problem, msg.inMB, msg.refSeconds,
-                                              msg.outMB, msg.memMB);
+      const workload::TaskInstance task = taskFromRequest(msg);
       routeRequest(requester, msg, task, 0, orphan.fromAgent, sim_.now());
     } catch (const util::Error& e) {
       denyRequest(requester, msg.taskId, orphan.fromAgent, e.what());

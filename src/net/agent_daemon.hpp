@@ -242,6 +242,12 @@ class AgentDaemon {
                   const wire::RegisterMsg& msg);
   void onScheduleRequest(const std::shared_ptr<wire::TcpTransport>& transport,
                          const wire::ScheduleRequestMsg& msg);
+  /// Moves a never-identified connection from pending_ to clients_, so the
+  /// pending timeout leaves it alone; a no-op for one already identified.
+  void promoteToClient(const std::shared_ptr<wire::TcpTransport>& transport);
+  /// The task a request describes, arriving now; throws util::Error when the
+  /// request's dimensions are malformed.
+  workload::TaskInstance taskFromRequest(const wire::ScheduleRequestMsg& msg) const;
   /// Mesh routing for a validated request: place locally, forward to the
   /// least-loaded capable peer, park for a steal, defer (no digests yet), or
   /// deny. `fromAgent` is empty for client submissions and names the peer for

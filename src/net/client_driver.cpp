@@ -6,6 +6,7 @@
 
 #include "util/error.hpp"
 #include "util/log.hpp"
+#include "util/strings.hpp"
 
 namespace casched::net {
 
@@ -262,21 +263,14 @@ void ClientDriver::onResolverInfo(const wire::ResolverInfoMsg& msg) {
 
   // Gossip: dial agents this client was never configured with.
   for (const std::string& address : msg.peerAddresses) {
-    const auto colon = address.rfind(':');
-    if (colon == std::string::npos) continue;
-    int port = 0;
-    try {
-      port = std::stoi(address.substr(colon + 1));
-    } catch (const std::exception&) {
-      continue;
-    }
-    if (port <= 0 || port > 0xFFFF) continue;
-    const auto asPort = static_cast<std::uint16_t>(port);
-    const bool known = std::any_of(links_.begin(), links_.end(),
-                                   [&](const AgentLink& l) { return l.port == asPort; });
+    const std::optional<util::HostPort> endpoint = util::parseHostPort(address);
+    if (!endpoint) continue;
+    const bool known =
+        std::any_of(links_.begin(), links_.end(),
+                    [&](const AgentLink& l) { return l.port == endpoint->port; });
     if (known) continue;
     AgentLink learned;
-    learned.port = asPort;
+    learned.port = endpoint->port;
     links_.push_back(std::move(learned));
     dialLink(links_.back());
     ++resolverStats_.learnedPeers;

@@ -821,6 +821,28 @@ std::vector<std::string> scenarioNamesWithPrefix(const std::string& prefix) {
   return out;
 }
 
+std::vector<std::string> resolveScenarioList(const std::string& value) {
+  const std::string v = util::toLower(util::trim(value));
+  if (v == "all") return scenarioNames();
+  if (v == "paper") return scenarioNamesWithPrefix("paper/");
+  if (v == "ablation" || v == "ablations") return scenarioNamesWithPrefix("ablation/");
+  if (v == "churn") return scenarioNamesWithPrefix("churn/");
+  if (v == "traffic") {
+    std::vector<std::string> names;
+    for (const std::string& name : scenarioNames()) {
+      if (name.find('/') == std::string::npos) names.push_back(name);
+    }
+    return names;
+  }
+  std::vector<std::string> names;
+  for (const std::string& n : util::split(value, ',')) {
+    const std::string_view trimmed = util::trim(n);
+    if (!trimmed.empty()) names.emplace_back(trimmed);
+  }
+  if (names.empty()) throw util::ConfigError("empty scenario list");
+  return names;
+}
+
 bool hasScenario(const std::string& name) {
   for (const NamedScenario& s : kRegistry) {
     if (name == s.name) return true;

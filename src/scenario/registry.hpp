@@ -23,6 +23,14 @@ const std::vector<std::string>& scenarioNames();
 /// Registry names sharing a prefix, e.g. "paper/" or "ablation/".
 std::vector<std::string> scenarioNamesWithPrefix(const std::string& prefix);
 
+/// Resolves a scenario selection the way the suite driver's --suite and
+/// --scenarios take it: a group name, matched case-insensitively ("all",
+/// "paper", "ablation"/"ablations", "churn", or "traffic" for the entries
+/// with no group prefix), or else a comma-separated list whose entries are
+/// trimmed but not checked against the registry. Throws util::ConfigError
+/// for an empty list.
+std::vector<std::string> resolveScenarioList(const std::string& value);
+
 bool hasScenario(const std::string& name);
 
 /// Raw scenario text of a registry entry; throws util::ConfigError if absent.

@@ -80,4 +80,20 @@ std::string formatNumber(double v, int prec) {
 
 std::string repeated(char c, std::size_t n) { return std::string(n, c); }
 
+std::optional<HostPort> parseHostPort(std::string_view address) {
+  const std::size_t colon = address.rfind(':');
+  if (colon == std::string_view::npos || colon == 0) return std::nullopt;
+  const std::string_view digits = address.substr(colon + 1);
+  if (digits.empty()) return std::nullopt;
+  std::uint32_t port = 0;
+  for (const char c : digits) {
+    if (c < '0' || c > '9') return std::nullopt;
+    port = port * 10 + static_cast<std::uint32_t>(c - '0');
+    if (port > 0xFFFF) return std::nullopt;
+  }
+  if (port == 0) return std::nullopt;
+  return HostPort{std::string(address.substr(0, colon)),
+                  static_cast<std::uint16_t>(port)};
+}
+
 }  // namespace casched::util

@@ -3,6 +3,8 @@
 /// printf-style formatting (libstdc++ 12 has no std::format) and small string
 /// helpers used by tables, logs and CSV output.
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,5 +36,16 @@ std::string formatNumber(double v, int prec = 1);
 
 /// Repeats character `c` `n` times.
 std::string repeated(char c, std::size_t n);
+
+/// A network endpoint split out of "host:port".
+struct HostPort {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Parses "host:port", splitting at the last ':'. The host must be
+/// non-empty and the port all ASCII digits in 1..65535: no sign, no
+/// whitespace, no trailing garbage. Returns nullopt for anything else.
+std::optional<HostPort> parseHostPort(std::string_view address);
 
 }  // namespace casched::util

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -171,6 +172,33 @@ TEST(ScenarioRegistry, PrefixGroupsAndEnumeratingErrors) {
     EXPECT_NE(what.find("no-such-scenario"), std::string::npos);
     EXPECT_NE(what.find("paper/table5_matmul_low"), std::string::npos);
     EXPECT_NE(what.find("mega-cluster"), std::string::npos);
+  }
+}
+
+TEST(ScenarioRegistry, ResolvesScenarioGroupsAndLists) {
+  EXPECT_EQ(resolveScenarioList("all").size(), 24u);
+  EXPECT_EQ(resolveScenarioList("all"), scenarioNames());
+  for (const char* group : {"paper", "ablation", "ablations", "churn"}) {
+    EXPECT_EQ(resolveScenarioList(group).size(), 4u) << group;
+  }
+  EXPECT_EQ(resolveScenarioList("ablation"), resolveScenarioList("ablations"));
+  EXPECT_EQ(resolveScenarioList(" Paper "), scenarioNamesWithPrefix("paper/"));
+
+  const std::vector<std::string> traffic = resolveScenarioList("traffic");
+  EXPECT_FALSE(traffic.empty());
+  for (const std::string& name : traffic) {
+    EXPECT_EQ(name.find('/'), std::string::npos) << name;
+  }
+  EXPECT_NE(std::find(traffic.begin(), traffic.end(), "flash-crowd"), traffic.end());
+
+  // An explicit list is split on commas, trimmed, and loses empty fields.
+  EXPECT_EQ(resolveScenarioList(" paper/table5_matmul_low , flash-crowd,,"),
+            (std::vector<std::string>{"paper/table5_matmul_low", "flash-crowd"}));
+  EXPECT_EQ(resolveScenarioList("churny-grid"),
+            std::vector<std::string>{"churny-grid"});
+
+  for (const char* empty : {"", "  ", ",", " , ,"}) {
+    EXPECT_THROW(resolveScenarioList(empty), util::ConfigError) << "'" << empty << "'";
   }
 }
 

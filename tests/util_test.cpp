@@ -66,6 +66,38 @@ TEST(Strings, FormatNumberIntegersWithoutFraction) {
   EXPECT_EQ(formatNumber(-3.0), "-3");
 }
 
+TEST(Strings, ParseHostPortAcceptsAValidAddress) {
+  const std::optional<HostPort> hp = parseHostPort("127.0.0.1:8080");
+  ASSERT_TRUE(hp.has_value());
+  EXPECT_EQ(hp->host, "127.0.0.1");
+  EXPECT_EQ(hp->port, 8080);
+  // The split is at the last ':' and the port range ends at 65535.
+  const std::optional<HostPort> edge = parseHostPort("[::1]:65535");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->host, "[::1]");
+  EXPECT_EQ(edge->port, 65535);
+  EXPECT_EQ(parseHostPort("h:1")->port, 1);
+}
+
+TEST(Strings, ParseHostPortRejectsEveryMalformedForm) {
+  for (const char* bad : {
+           "127.0.0.1:80x",  // trailing garbage
+           "h: 80",          // leading whitespace
+           "h:80 ",          // trailing whitespace
+           "h:+80",          // sign
+           "h:-80",          // negative
+           "h:0",            // port 0
+           "h:65536",        // past the range
+           "h:99999999999",  // would overflow a naive int parse
+           "h:",             // no port
+           ":80",            // no host
+           "h80",            // no colon
+           "",
+       }) {
+    EXPECT_FALSE(parseHostPort(bad).has_value()) << "accepted '" << bad << "'";
+  }
+}
+
 TEST(Stats, RunningStatBasics) {
   RunningStat s;
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(v);
