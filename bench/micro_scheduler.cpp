@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "cas/agent.hpp"
 #include "cas/dispatch.hpp"
@@ -242,27 +244,77 @@ void BM_ScheduleBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleBatch)->Arg(8)->Arg(64)->Arg(256);
 
-// --- the event queue itself (simcore's push/cancel/pop cost) ---
+// --- the event queue itself (simcore's push/pop cost) ---
+//
+// BM_EventQueue is the classic hold model: N events pending, and each fired
+// event schedules its successor an exponential delay later, so every
+// iteration is one pop plus one push at a constant queue size N.
+// BM_EventQueueTimeline is the shape of a churn run: N arrivals known up
+// front (streamed) under 48 periodic timers (noise ticks, load reports), one
+// whole run per iteration, setup included.
+
+constexpr std::size_t kDelayTable = 1024;  // power of two: cyclic indexing
+
+std::vector<double> exponentialDelays(std::uint64_t seed) {
+  simcore::RandomStream rng(seed);
+  std::vector<double> delays(kDelayTable);
+  for (double& d : delays) d = rng.exponentialMean(1.0);
+  return delays;
+}
+
+struct Hold {
+  simcore::Simulator* sim;
+  const double* delays;
+  std::size_t* next;
+  void operator()() const { sim->scheduleAfter(delays[(*next)++ % kDelayTable], *this); }
+};
 
 void BM_EventQueue(benchmark::State& state) {
+  const auto pending = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> delays = exponentialDelays(11);
+  std::size_t next = 0;
   simcore::Simulator sim;
-  simcore::RandomStream rng(11);
-  constexpr std::size_t kBurst = 64;
-  double delays[kBurst];
-  for (double& d : delays) d = rng.uniform(0.0, 10.0);
-  simcore::EventHandle handles[kBurst];
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < kBurst; ++k) {
-      handles[k] = sim.scheduleAfter(delays[k], [] {});
-    }
-    sim.cancel(handles[17]);
-    sim.cancel(handles[42]);
-    sim.run();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kBurst));
-  state.SetLabel("64 schedules + 2 cancels + drain");
+  const Hold hold{&sim, delays.data(), &next};
+  for (std::size_t i = 0; i < pending; ++i) sim.scheduleAt(delays[next++ % kDelayTable], hold);
+  for (auto _ : state) sim.step();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.SetLabel("hold model, " + std::to_string(pending) + " pending");
 }
-BENCHMARK(BM_EventQueue);
+BENCHMARK(BM_EventQueue)->Arg(16)->Arg(64)->Arg(512)->Arg(4096);
+
+struct Periodic {
+  simcore::Simulator* sim;
+  double period;
+  double horizon;
+  void operator()() const {
+    if (sim->now() + period <= horizon) sim->scheduleAfter(period, *this);
+  }
+};
+
+void BM_EventQueueTimeline(benchmark::State& state) {
+  const auto arrivals = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kTimers = 48;
+  const std::vector<double> gaps = exponentialDelays(13);
+  const double horizon = static_cast<double>(arrivals);  // mean gap 1.0
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    simcore::Simulator sim;
+    const simcore::StreamId stream = sim.openStream();
+    double at = 0.0;
+    for (std::size_t i = 0; i < arrivals; ++i) {
+      at += gaps[i % kDelayTable];
+      sim.scheduleInStream(stream, at, [] {});
+    }
+    for (std::size_t k = 0; k < kTimers; ++k) {
+      const double period = 0.5 + 0.05 * static_cast<double>(k);
+      sim.scheduleAt(period, Periodic{&sim, period, horizon});
+    }
+    events += sim.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.SetLabel(std::to_string(arrivals) + " streamed arrivals + 48 timers");
+}
+BENCHMARK(BM_EventQueueTimeline)->Arg(1024)->Arg(8192);
 
 // --- machine-speed anchor ---
 //

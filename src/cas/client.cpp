@@ -15,8 +15,10 @@ void Client::submitMetatask(const workload::Metatask& metatask) {
   // one HTM refresh over the run. Placements are identical to per-task
   // events at the same instant (a batch of one IS requestSchedule, and each
   // task in a batch sees its predecessors' commits exactly as sequential
-  // requests at that time would).
+  // requests at that time would). The submissions go through one stream:
+  // only the next one waits in the event heap.
   const std::vector<workload::TaskInstance>& tasks = metatask.tasks;
+  const simcore::StreamId arrivals = sim_.openStream();
   for (std::size_t i = 0; i < tasks.size();) {
     std::size_t j = i + 1;
     while (j < tasks.size() && tasks[j].arrival == tasks[i].arrival) ++j;
@@ -24,8 +26,8 @@ void Client::submitMetatask(const workload::Metatask& metatask) {
     std::vector<workload::TaskInstance> group(
         tasks.begin() + static_cast<std::ptrdiff_t>(i),
         tasks.begin() + static_cast<std::ptrdiff_t>(j));
-    sim_.scheduleAt(tasks[i].arrival + latency_,
-                    [this, group = std::move(group)] { agent_.scheduleBatch(group); });
+    sim_.scheduleInStream(arrivals, tasks[i].arrival + latency_,
+                          [this, group = std::move(group)] { agent_.scheduleBatch(group); });
     i = j;
   }
 }

@@ -171,18 +171,23 @@ void GridSystem::applyChurn(const ChurnEvent& event) {
 }
 
 metrics::RunResult GridSystem::run() {
+  // Churn and arrivals are known up front: streams keep them out of the heap
+  // until they are next.
+  const simcore::StreamId churn = sim_.openStream();
   for (const ChurnEvent& event : timeline_) {
-    sim_.scheduleAt(event.time, [this, event] { applyChurn(event); });
+    sim_.scheduleInStream(churn, event.time, [this, event] { applyChurn(event); });
   }
   if (client_) {
     client_->submitMetatask(metatask_);
   } else {
+    const simcore::StreamId arrivals = sim_.openStream();
     for (const workload::TaskInstance& task : metatask_.tasks) {
       const std::size_t target = mesh_->root ? *mesh_->root : task.index % nodes_.size();
       // Client -> agent control latency, exactly like cas::Client.
-      sim_.scheduleAt(task.arrival + config_.controlLatency, [this, target, &task] {
-        onRequest(target, task, /*hops=*/0, /*origin=*/std::string());
-      });
+      sim_.scheduleInStream(arrivals, task.arrival + config_.controlLatency,
+                            [this, target, &task] {
+                              onRequest(target, task, /*hops=*/0, /*origin=*/std::string());
+                            });
     }
     if (mesh_->router.stealing) {
       sim_.scheduleAt(mesh_->stealPeriod, [this] { stealTick(); });

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <set>
@@ -80,7 +81,17 @@ void Histogram::observe(double v) noexcept {
   // First bucket whose upper bound contains v; past the last bound -> +Inf.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
   counts_[static_cast<std::size_t>(it - bounds_.begin())].fetch_add(1, std::memory_order_relaxed);
-  atomicAddDouble(sumBits_, v);
+  const double scaled = v / kSumResolution;
+  if (std::fabs(scaled) < 0x1p62) {  // false for NaN too
+    const std::int64_t units = std::llround(scaled);
+    const std::int64_t old = sumUnits_.fetch_add(units, std::memory_order_relaxed);
+    std::int64_t next;
+    if (__builtin_add_overflow(old, units, &next)) {
+      sumOverflow_.store(true, std::memory_order_relaxed);
+    }
+  } else {
+    sumOverflow_.store(true, std::memory_order_relaxed);
+  }
   count_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -90,11 +101,15 @@ std::vector<std::uint64_t> Histogram::bucketCounts() const {
   return out;
 }
 
-double Histogram::sum() const noexcept { return bitsToDouble(sumBits_.load(std::memory_order_relaxed)); }
+double Histogram::sum() const noexcept {
+  if (sumOverflow_.load(std::memory_order_relaxed)) return std::nan("");
+  return static_cast<double>(sumUnits_.load(std::memory_order_relaxed)) * kSumResolution;
+}
 
 void Histogram::reset() noexcept {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0, std::memory_order_relaxed);
-  sumBits_.store(0, std::memory_order_relaxed);
+  sumUnits_.store(0, std::memory_order_relaxed);
+  sumOverflow_.store(false, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
 }
 

@@ -44,8 +44,17 @@ class Gauge {
 /// Fixed-bucket histogram: cumulative-style buckets with strictly increasing
 /// upper bounds plus an implicit +Inf bucket. Bounds are fixed at
 /// registration so observation never allocates.
+///
+/// The sum is a fixed-point integer in units of kSumResolution, so threads
+/// observing concurrently get the same total in any interleaving (a double
+/// sum would round differently per order). Each value is rounded to the
+/// resolution once; the integer sum is exact while its magnitude stays below
+/// 2^39 (about 5.5e11). A sum past that range, or a value that does not fit
+/// (NaN, infinite), makes sum() read NaN until reset().
 class Histogram {
  public:
+  static constexpr double kSumResolution = 0x1p-24;  ///< about 6e-8
+
   explicit Histogram(std::vector<double> bounds);
 
   void observe(double v) noexcept;
@@ -60,7 +69,8 @@ class Histogram {
  private:
   std::vector<double> bounds_;
   std::unique_ptr<std::atomic<std::uint64_t>[]> counts_;  ///< bounds_.size() + 1
-  std::atomic<std::uint64_t> sumBits_{0};
+  std::atomic<std::int64_t> sumUnits_{0};  ///< sum / kSumResolution
+  std::atomic<bool> sumOverflow_{false};
   std::atomic<std::uint64_t> count_{0};
 };
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -141,6 +143,52 @@ TEST(Metrics, ConcurrentWritersAreCoherent) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_EQ(h.count(), static_cast<std::uint64_t>(kThreads) * kPerThread);
   EXPECT_DOUBLE_EQ(h.sum(), static_cast<double>(kThreads) * kPerThread);
+}
+
+TEST(Metrics, HistogramSumIsIndependentOfObservationOrder) {
+  // In doubles, this set's sum depends on the order it is added in.
+  const std::vector<double> values = {0.1, 0.7, 1e8 / 3.0, 0.3, 2.0 / 3.0};
+  double forward = 0.0;
+  double backward = 0.0;
+  for (double v : values) forward += v;
+  for (auto it = values.rbegin(); it != values.rend(); ++it) backward += *it;
+  ASSERT_NE(forward, backward);
+
+  Histogram reference({1.0});
+  for (int rep = 0; rep < 2000; ++rep) {
+    for (double v : values) reference.observe(v);
+  }
+  for (int trial = 0; trial < 5; ++trial) {
+    Histogram h({1.0});
+    std::thread up([&] {
+      for (int rep = 0; rep < 1000; ++rep) {
+        for (double v : values) h.observe(v);
+      }
+    });
+    std::thread down([&] {
+      for (int rep = 0; rep < 1000; ++rep) {
+        for (auto it = values.rbegin(); it != values.rend(); ++it) h.observe(*it);
+      }
+    });
+    up.join();
+    down.join();
+    EXPECT_EQ(h.sum(), reference.sum()) << "trial " << trial;
+  }
+  EXPECT_NEAR(reference.sum(), 2000.0 * forward, 1e-3);
+}
+
+TEST(Metrics, HistogramSumOverflowReadsNaN) {
+  Histogram h({1.0});
+  h.observe(2e11);
+  EXPECT_DOUBLE_EQ(h.sum(), 2e11);
+  h.observe(2e11);
+  h.observe(2e11);  // past 2^39
+  EXPECT_TRUE(std::isnan(h.sum()));
+  EXPECT_EQ(h.count(), 3u);
+  h.reset();
+  EXPECT_EQ(h.sum(), 0.0);
+  h.observe(std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(h.sum()));
 }
 
 TEST(Ring, PushIsANoOpWhenDisabled) {
