@@ -125,7 +125,7 @@ int runAgent(int argc, const char* const* argv) {
   if (daemon.metricsHttpPort() != 0) {
     std::cout << ", metrics on 127.0.0.1:" << daemon.metricsHttpPort();
   }
-  std::cout << "\n";
+  std::cout << std::endl;  // flushed: a supervisor reads the port from this line
   daemon.run(gStop);
   std::cout << "agent: shutting down\n";
   return 0;

@@ -1,8 +1,6 @@
 #include "net/agent_daemon.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "core/htm_snapshot.hpp"
 #include "obs/decision.hpp"
@@ -152,10 +150,53 @@ std::uint16_t AgentDaemon::metricsHttpPort() const {
 }
 
 void AgentDaemon::run(const std::atomic<bool>& stop) {
+  LoopWait wait("agent");
   while (!stop.load(std::memory_order_relaxed) && !shutdownRequested_) {
     runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    wait.reset();
+    watchSockets(wait);
+    wait.wakeBy(clock_.wallAt(nextDeadline()));
+    if (metricsServer_) wait.wakeBy(metricsServer_->nextDropAt());
+    wait.wait();
   }
+}
+
+void AgentDaemon::watchSockets(LoopWait& wait) const {
+  const auto watch = [&](const std::shared_ptr<wire::TcpTransport>& t) {
+    if (t && !t->closed()) wait.watch(t->fd());
+  };
+  wait.watch(listener_.fd());
+  for (const auto& [conn, since] : pending_) watch(conn);
+  for (const auto& [name, entry] : servers_) watch(entry.transport);
+  for (const auto& client : clients_) watch(client);
+  for (const PeerEntry& peer : peers_) watch(peer.transport);
+  if (metricsServer_) metricsServer_->forEachFd([&](int fd) { wait.watch(fd); });
+}
+
+double AgentDaemon::nextDeadline() const {
+  // Each term mirrors the check that acts on it in runOnce(), so a deadline
+  // is listed exactly while that check can still fire: a stale one would
+  // wake the loop at once, every turn.
+  double at = sim_.nextEventTime();
+  const auto earliest = [&](double t) { at = std::min(at, t); };
+  for (const auto& [conn, since] : pending_) earliest(since + config_.heartbeatTimeout);
+  for (const auto& [name, entry] : servers_) {
+    if (!entry.retired) earliest(entry.lastSeen + config_.heartbeatTimeout);
+  }
+  for (const DeferredRoute& route : deferred_) {
+    earliest(route.firstSeen + config_.heartbeatTimeout);
+  }
+  if (config_.syncPeriod > 0.0 && (!config_.snapshotPath.empty() || !peers_.empty())) {
+    earliest(nextSyncAt_);
+  }
+  if (config_.meshEnabled && config_.meshStealPeriod > 0.0) earliest(nextStealAt_);
+  for (const PeerEntry& peer : peers_) {
+    if ((!peer.transport || peer.transport->closed()) && !peer.address.empty() &&
+        !otherLiveLinkTo(peer)) {
+      earliest(peer.nextDialAt);
+    }
+  }
+  return at;
 }
 
 void AgentDaemon::acceptPending() {

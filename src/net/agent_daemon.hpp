@@ -4,7 +4,10 @@
 /// connections onto the existing cas::Agent scheduling core. Servers connect
 /// and register (kRegister), stream load reports and heartbeats, and notify
 /// completions/failures; clients connect and submit kScheduleRequest per
-/// task. All requests that arrive within one poll cycle are drained into a
+/// task. Between turns, run() blocks in one readiness wait over every socket
+/// (LoopWait) until a frame arrives or the earliest timer is due - the next
+/// simulator event, a heartbeat, sync or steal deadline - capped at
+/// kStopCap. All requests that arrive within one turn are drained into a
 /// single Agent::scheduleBatch call - one HTM refresh amortized over the
 /// whole burst, with placements identical to scheduling them one at a time
 /// (locked by the batch equivalence test). The agent forwards each accepted
@@ -41,6 +44,7 @@
 #include "core/htm.hpp"
 #include "mesh/router.hpp"
 #include "net/clock.hpp"
+#include "net/loop_wait.hpp"
 #include "platform/calibration.hpp"
 #include "simcore/engine.hpp"
 #include "wire/messages.hpp"
@@ -133,9 +137,17 @@ class AgentDaemon {
   /// drain every transport, apply heartbeat deadlines. Non-blocking.
   void runOnce();
 
-  /// Blocking loop for the CLI process; returns when `stop` becomes true or
-  /// a client sends kShutdown.
+  /// Blocking loop for the CLI process: runOnce(), then wait for a readable
+  /// socket or the next deadline (at most kStopCap). Returns within about
+  /// kStopCap of `stop` becoming true, or once a client sends kShutdown.
   void run(const std::atomic<bool>& stop);
+
+  /// Earliest simulated time at which one of this daemon's timers is due:
+  /// the next simulator event (such as a submission's control-latency
+  /// delay), a server's heartbeat or a pending connection's identify
+  /// deadline, a deferred route's expiry, the next sync, steal or peer
+  /// re-dial. Infinity when nothing is scheduled.
+  double nextDeadline() const;
 
   cas::Agent& agent() { return agent_; }
   const cas::Agent& agent() const { return agent_; }
@@ -349,6 +361,9 @@ class AgentDaemon {
   std::uint64_t meshDenies_ = 0;
   std::uint64_t meshSteals_ = 0;
   std::uint64_t meshParkedTotal_ = 0;
+
+  /// Adds every socket runOnce() reads to `wait`.
+  void watchSockets(LoopWait& wait) const;
 
   /// Non-null when config_.metricsPort >= 0; polled once per runOnce() turn.
   std::unique_ptr<obs::MetricsHttpServer> metricsServer_;

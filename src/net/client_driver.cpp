@@ -1,9 +1,9 @@
 #include "net/client_driver.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <limits>
 
+#include "net/loop_wait.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
 #include "util/strings.hpp"
@@ -358,12 +358,34 @@ bool ClientDriver::run(const workload::Metatask& metatask, double wallTimeoutSec
                        const std::atomic<bool>& stop) {
   start(metatask);
   const WallDeadline deadline(wallTimeoutSeconds);
+  LoopWait wait("client");
   while (!done() && !stop.load(std::memory_order_relaxed)) {
     if (deadline.passed()) break;
     runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    wait.reset();
+    for (const AgentLink& link : links_) {
+      if (link.transport && !link.transport->closed()) wait.watch(link.transport->fd());
+    }
+    wait.wakeBy(clock_.wallAt(nextDeadline()));
+    wait.wakeBy(deadline.at());
+    wait.wait();
   }
   return done();
+}
+
+double ClientDriver::nextDeadline() const {
+  double at = std::numeric_limits<double>::infinity();
+  // Due arrivals wait for a live link; with none, the re-dials below are
+  // what can unblock them.
+  if (nextToSend_ < metatask_.tasks.size() && liveAgentCount() > 0) {
+    at = metatask_.tasks[nextToSend_].arrival;
+  }
+  for (const auto& [pos, retryAt] : deniedRetry_) at = std::min(at, retryAt);
+  for (const AgentLink& link : links_) {
+    if (!link.transport || link.transport->closed()) at = std::min(at, link.nextRedialAt);
+  }
+  if (config_.resolver) at = std::min(at, nextProbeAt_);
+  return at;
 }
 
 }  // namespace casched::net

@@ -90,11 +90,17 @@ class ClientDriver {
   /// re-submit failed-over tasks, drain terminal notices. Non-blocking.
   void runOnce();
 
-  /// Blocking replay for the CLI process: pumps until every task is
-  /// terminal, `stop` becomes true, or `wallTimeoutSeconds` elapses.
+  /// Blocking replay for the CLI process: runOnce(), then wait for a reply
+  /// on any agent link or for nextDeadline() (at most kStopCap), until every
+  /// task is terminal, `stop` becomes true, or `wallTimeoutSeconds` elapses.
   /// Returns true when all tasks finished.
   bool run(const workload::Metatask& metatask, double wallTimeoutSeconds,
            const std::atomic<bool>& stop);
+
+  /// Earliest simulated time at which the replay has something to do
+  /// without a reply arriving: the next arrival, the end of a deny backoff,
+  /// a dead link's re-dial or the next resolver probe. Infinity when none.
+  double nextDeadline() const;
 
   bool done() const { return started_ && terminal_.size() == total_; }
   std::size_t submitted() const { return nextToSend_; }

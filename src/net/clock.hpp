@@ -2,11 +2,15 @@
 /// \file clock.hpp
 /// Wall-clock pacing for the distributed runtime. Every live daemon owns a
 /// discrete-event Simulator (the same engine the reproduction benches use)
-/// and, once per event-loop turn, advances it to `scale * wallElapsed`.
-/// Sharing one PacedClock (same epoch, same scale) across the daemons of a
-/// deployment keeps their simulation clocks aligned, so completion dates and
-/// load-report sample times stay comparable across the wire.
+/// and, at the start of each runOnce() turn, advances it to
+/// `scale * wallElapsed`. Between turns a daemon blocked in its run() loop
+/// sleeps until its next timer is due, which wallAt() converts from
+/// simulated to wall time. Sharing one PacedClock (same epoch, same scale)
+/// across the daemons of a deployment keeps their simulation clocks aligned,
+/// so completion dates and load-report sample times stay comparable across
+/// the wire.
 
+#include <algorithm>
 #include <chrono>
 
 namespace casched::net {
@@ -24,9 +28,25 @@ class PacedClock {
   double timeScale() const { return scale_; }
   WallClock::time_point epoch() const { return epoch_; }
 
+  /// Simulated time at wall instant `at`.
+  double simAt(WallClock::time_point at) const {
+    return scale_ * std::chrono::duration<double>(at - epoch_).count();
+  }
+
   /// Simulated time corresponding to the current wall clock.
-  double simNow() const {
-    return scale_ * std::chrono::duration<double>(WallClock::now() - epoch_).count();
+  double simNow() const { return simAt(WallClock::now()); }
+
+  /// The wall instant at which simulated time reaches `simTime`, rounded up
+  /// to the clock's tick plus one tick, so that floating-point rounding never
+  /// makes simAt() of the result fall short: a daemon woken there finds the
+  /// timer due. Times before the epoch map to the epoch; infinite, NaN and
+  /// far-future times (past a billion wall seconds) to time_point::max().
+  WallClock::time_point wallAt(double simTime) const {
+    const double wallSeconds = std::max(simTime / scale_, 0.0);
+    if (!(wallSeconds < 1e9)) return WallClock::time_point::max();
+    return epoch_ +
+           std::chrono::ceil<WallClock::duration>(std::chrono::duration<double>(wallSeconds)) +
+           WallClock::duration(1);
   }
 
   /// Wall seconds elapsed since the epoch.
@@ -57,6 +77,7 @@ class WallDeadline {
                 std::chrono::duration<double>(seconds))) {}
 
   bool passed() const { return PacedClock::WallClock::now() > at_; }
+  PacedClock::WallClock::time_point at() const { return at_; }
 
  private:
   PacedClock::WallClock::time_point at_;

@@ -1,8 +1,6 @@
 #include "net/server_daemon.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -135,10 +133,26 @@ void NetServerDaemon::runOnce() {
 void NetServerDaemon::run(const std::atomic<bool>& stop) {
   // A closed link does not end the loop: maybeReconnect() re-dials until the
   // agent is back (or until the operator stops the daemon).
+  LoopWait wait("server");
   while (!stop.load(std::memory_order_relaxed) && !shutdownRequested_ && !left_) {
     runOnce();
-    std::this_thread::sleep_for(std::chrono::microseconds(500));
+    wait.reset();
+    if (connected()) wait.watch(transport_->fd());
+    wait.wakeBy(clock_.wallAt(nextDeadline()));
+    wait.wait();
   }
+}
+
+double NetServerDaemon::nextDeadline() const {
+  // Machine completions, load reports and heartbeats are simulator events.
+  double at = sim_.nextEventTime();
+  if (!leaving_ && !left_ && !shutdownRequested_ && !connected()) {
+    at = std::min(at, nextReconnectAt_);
+  }
+  if (leaving_ && leaveIdleSince_ >= 0.0) {
+    at = std::min(at, leaveIdleSince_ + config_.leaveLingerSeconds);
+  }
+  return at;
 }
 
 void NetServerDaemon::handleFrame(const wire::Frame& frame) {

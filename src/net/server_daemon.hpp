@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "net/clock.hpp"
+#include "net/loop_wait.hpp"
 #include "psched/machine.hpp"
 #include "simcore/engine.hpp"
 #include "wire/messages.hpp"
@@ -71,9 +72,17 @@ class NetServerDaemon {
   /// agent link, finish a pending graceful departure. Non-blocking.
   void runOnce();
 
-  /// Blocking loop for the CLI process; returns when `stop` becomes true,
-  /// the agent sends kShutdown, or the link closes.
+  /// Blocking loop for the CLI process: runOnce(), then wait for the agent
+  /// link to turn readable or for nextDeadline() (at most kStopCap). Returns
+  /// within about kStopCap of `stop` becoming true, or once the agent sends
+  /// kShutdown or a graceful leave finished.
   void run(const std::atomic<bool>& stop);
+
+  /// Earliest simulated time at which one of this daemon's timers is due:
+  /// the next simulator event (a task completion, load report or
+  /// heartbeat), the next re-dial while the agent link is down, or the end
+  /// of the post-leave linger.
+  double nextDeadline() const;
 
   const std::string& name() const { return machine_.name(); }
   psched::Machine& machine() { return machine_; }

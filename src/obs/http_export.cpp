@@ -1,9 +1,9 @@
 #include "obs/http_export.hpp"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,6 +19,28 @@ namespace casched::obs {
 namespace {
 [[noreturn]] void throwErrno(const std::string& what) {
   throw util::IoError(what + ": " + std::strerror(errno));
+}
+
+/// Sends the response to a scrape whose request reads `request`; the
+/// caller closes the socket.
+void respond(int client, const std::string& request) {
+  const StatsFormat format = request.find("json") != std::string::npos
+                                 ? StatsFormat::kJson
+                                 : StatsFormat::kPrometheus;
+  const std::string body = renderStats(Registry::global().snapshot(), format);
+  const std::string response = httpOkResponse(
+      body, format == StatsFormat::kJson ? "application/json"
+                                         : "text/plain; version=0.0.4; charset=utf-8");
+  std::size_t sent = 0;
+  while (sent < response.size()) {
+    const ssize_t n =
+        ::send(client, response.data() + sent, response.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) continue;
+      break;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
 }
 }  // namespace
 
@@ -45,7 +67,7 @@ MetricsHttpServer::MetricsHttpServer(std::uint16_t port) {
     ::close(fd_);
     throwErrno("bind metrics port");
   }
-  if (::listen(fd_, 8) != 0) {
+  if (::listen(fd_, 8) != 0 || ::fcntl(fd_, F_SETFL, O_NONBLOCK) != 0) {
     ::close(fd_);
     throwErrno("listen metrics port");
   }
@@ -58,51 +80,45 @@ MetricsHttpServer::MetricsHttpServer(std::uint16_t port) {
 }
 
 MetricsHttpServer::~MetricsHttpServer() {
+  for (const Held& h : held_) ::close(h.fd);
   if (fd_ >= 0) ::close(fd_);
 }
 
+MetricsHttpServer::WallClock::time_point MetricsHttpServer::nextDropAt() const {
+  // Held in accept order, so the first one is dropped first.
+  return held_.empty() ? WallClock::time_point::max() : held_.front().dropAt;
+}
+
 std::size_t MetricsHttpServer::pollOnce() {
-  std::size_t served = 0;
-  while (true) {
-    pollfd p{fd_, POLLIN, 0};
-    const int ready = ::poll(&p, 1, 0);
-    if (ready < 0 && errno == EINTR) continue;
-    if (ready <= 0) break;
+  const WallClock::time_point now = WallClock::now();
+  while (held_.size() < kMaxHeld) {
     const int client = ::accept(fd_, nullptr, nullptr);
-    if (client < 0) break;
+    if (client < 0) {
+      if (errno == EINTR) continue;
+      break;  // EAGAIN: nothing pending
+    }
     int one = 1;
     ::setsockopt(client, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-
-    // Read the request line (bounded wait: this is a debug endpoint polled
-    // from the daemon pump; a slow scraper must not stall scheduling long).
-    char buf[1024];
-    std::string request;
-    pollfd rp{client, POLLIN, 0};
-    if (::poll(&rp, 1, 100) > 0) {
-      const ssize_t n = ::recv(client, buf, sizeof(buf) - 1, 0);
-      if (n > 0) request.assign(buf, static_cast<std::size_t>(n));
-    }
-
-    const StatsFormat format = request.find("json") != std::string::npos
-                                   ? StatsFormat::kJson
-                                   : StatsFormat::kPrometheus;
-    const std::string body = renderStats(Registry::global().snapshot(), format);
-    const std::string response = httpOkResponse(
-        body, format == StatsFormat::kJson ? "application/json"
-                                           : "text/plain; version=0.0.4; charset=utf-8");
-    std::size_t sent = 0;
-    while (sent < response.size()) {
-      const ssize_t n =
-          ::send(client, response.data() + sent, response.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        break;
-      }
-      sent += static_cast<std::size_t>(n);
-    }
-    ::close(client);
-    ++served;
+    held_.push_back({client, now + kRequestTimeout});
   }
+
+  std::size_t served = 0;
+  std::size_t kept = 0;
+  for (const Held& h : held_) {
+    char buf[1024];
+    const ssize_t n = ::recv(h.fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) &&
+        now < h.dropAt) {
+      held_[kept++] = h;  // request not here yet
+      continue;
+    }
+    if (n > 0) {
+      respond(h.fd, std::string(buf, static_cast<std::size_t>(n)));
+      ++served;
+    }
+    ::close(h.fd);
+  }
+  held_.resize(kept);
   return served;
 }
 

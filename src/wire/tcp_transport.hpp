@@ -1,8 +1,10 @@
 #pragma once
 /// \file tcp_transport.hpp
 /// Frame transport over real TCP sockets (loopback demo of the middleware
-/// protocol). Blocking sockets with a short poll timeout; one Transport per
-/// connection. POSIX-only, which matches the paper's all-Linux testbed.
+/// protocol). Blocking sends; poll() drains with non-blocking reads and never
+/// waits, and a daemon's run() loop blocks on fd() readiness between turns.
+/// One Transport per connection. POSIX-only, which matches the paper's
+/// all-Linux testbed.
 
 #include <cstdint>
 #include <memory>
@@ -48,6 +50,7 @@ class TcpListener {
   TcpListener& operator=(const TcpListener&) = delete;
 
   std::uint16_t port() const { return port_; }
+  int fd() const { return fd_; }
 
   /// Accepts one connection, waiting up to `timeoutMs`; nullptr on timeout.
   std::shared_ptr<TcpTransport> accept(int timeoutMs);

@@ -1,14 +1,21 @@
 // Tests of the distributed runtime (src/net): daemons speaking the wire
-// protocol over real TCP loopback sockets, pumped cooperatively so every
-// assertion runs on one thread. Covers heartbeat-timeout retirement, fault-
+// protocol over real TCP loopback sockets, mostly pumped cooperatively so
+// every assertion runs on one thread; the NetLoop cases drive the blocking
+// run() loops on their own threads instead. Covers heartbeat-timeout retirement, fault-
 // tolerant re-submission after a server crash mid-task, live churn, and
 // count-level agreement between a live loopback run and the simulator on the
 // same registry scenario.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -1003,6 +1010,308 @@ TEST(NetRuntime, ResolverLearnsPeersAndReranksPastADeadAgent) {
   EXPECT_EQ(client.failedCount(), 0u);
   EXPECT_GE(client.resolverStats().reranks, 1u);
   EXPECT_EQ(client.bestRankedLink(), 1u);  // the learned agent-b link
+}
+
+// --- run() loops: one readiness wait per turn ------------------------------
+
+std::uint64_t loopTurns(const std::string& daemon) {
+  return obs::Registry::global()
+      .counter("casched_net_loop_turns_total", "", {{"daemon", daemon}})
+      .value();
+}
+
+obs::Histogram& loopWaitSeconds(const std::string& daemon) {
+  return obs::Registry::global().histogram("casched_net_loop_wait_seconds", {1.0}, "",
+                                           {{"daemon", daemon}});
+}
+
+/// A plain loopback TCP connection that sends nothing until the test does.
+int rawConnect(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ADD_FAILURE() << "cannot connect to 127.0.0.1:" << port;
+  }
+  return fd;
+}
+
+TEST(NetLoop, DaemonsOnTheirRunLoopsServeAClientCampaign) {
+  const PacedClock clock(100.0);
+  AgentDaemonConfig agentConfig;
+  agentConfig.heuristic = "msf";
+  AgentDaemon agent(agentConfig, clock);
+  NetServerConfig serverConfig;
+  serverConfig.agentPort = agent.port();
+  serverConfig.machine.name = "looped";
+  NetServerDaemon server(serverConfig, clock);
+  server.connect();
+  // Registration is set-up: the client's first request must find a server.
+  ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); }, [&] { server.runOnce(); }},
+                        [&] { return agent.liveServerCount() == 1 && server.registered(); },
+                        5.0));
+
+  workload::Metatask metatask;
+  metatask.name = "run-loops";
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    workload::TaskInstance task;
+    task.index = i;
+    task.arrival = 0.5 * static_cast<double>(i);
+    task.type = workload::makeSyntheticType("loop-work", 0.0, 1.0, 0.0, 0.0);
+    metatask.tasks.push_back(task);
+  }
+  const std::uint64_t agentTurns = loopTurns("agent");
+  const std::uint64_t serverTurns = loopTurns("server");
+  const std::uint64_t clientTurns = loopTurns("client");
+
+  // From here on nothing is pumped by hand: every daemon is on its run().
+  std::atomic<bool> stop{false};
+  std::thread agentThread([&] { agent.run(stop); });
+  std::thread serverThread([&] { server.run(stop); });
+  ClientConfig clientConfig;
+  clientConfig.agentPort = agent.port();
+  ClientDriver client(clientConfig, clock);
+  client.connect();
+  const std::atomic<bool> never{false};
+  const bool finished = client.run(metatask, 20.0, never);
+  stop.store(true);
+  agentThread.join();
+  serverThread.join();
+
+  EXPECT_TRUE(finished);
+  EXPECT_EQ(client.completedCount(), metatask.size());
+  EXPECT_EQ(client.failedCount(), 0u);
+  EXPECT_GT(loopTurns("agent"), agentTurns);
+  EXPECT_GT(loopTurns("server"), serverTurns);
+  EXPECT_GT(loopTurns("client"), clientTurns);
+}
+
+TEST(NetLoop, IdleAgentBlocksInsteadOfPolling) {
+  const PacedClock clock(1.0);
+  AgentDaemonConfig config;
+  config.heuristic = "mct";
+  AgentDaemon agent(config, clock);
+  const std::uint64_t turns0 = loopTurns("agent");
+  obs::Histogram& waits = loopWaitSeconds("agent");
+  const std::uint64_t waits0 = waits.count();
+  const double waited0 = waits.sum();
+
+  std::atomic<bool> stop{false};
+  std::thread loop([&] { agent.run(stop); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  stop.store(true);
+  loop.join();
+
+  // Nothing is due and no socket speaks, so each wait runs to the stop cap:
+  // about 30 turns. A loop that slept 500 us per turn would make about 550.
+  const std::uint64_t turns = loopTurns("agent") - turns0;
+  EXPECT_GE(turns, 1u);
+  EXPECT_LE(turns, 60u);
+  // One wait observed per turn, and the loop spent its time blocked.
+  EXPECT_EQ(waits.count() - waits0, turns);
+  EXPECT_GT(waits.sum() - waited0, 0.1);
+}
+
+TEST(NetLoop, RunReturnsWithinAFewStopCapsOfTheFlag) {
+  // perfbench's set-up: no heartbeat deadline for an hour, no sync rounds,
+  // so only the stop cap bounds each wait.
+  const PacedClock clock(1.0);
+  AgentDaemonConfig agentConfig;
+  agentConfig.heuristic = "msf";
+  agentConfig.heartbeatTimeout = 3600.0;
+  agentConfig.syncPeriod = 0.0;
+  AgentDaemon agent(agentConfig, clock);
+  NetServerConfig serverConfig;
+  serverConfig.agentPort = agent.port();
+  serverConfig.machine.name = "stopper";
+  serverConfig.heartbeatPeriod = 600.0;
+  serverConfig.reportPeriod = 600.0;
+  NetServerDaemon server(serverConfig, clock);
+  server.connect();
+  ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); }, [&] { server.runOnce(); }},
+                        [&] { return agent.liveServerCount() == 1 && server.registered(); },
+                        5.0));
+
+  std::atomic<bool> stop{false};
+  std::thread agentThread([&] { agent.run(stop); });
+  std::thread serverThread([&] { server.run(stop); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const auto flagged = PacedClock::WallClock::now();
+  stop.store(true);
+  agentThread.join();
+  serverThread.join();
+  EXPECT_LT(PacedClock::WallClock::now() - flagged, 5 * kStopCap);
+}
+
+TEST(NetLoop, NextDeadlineCoversEveryAgentTimer) {
+  constexpr double kTimeout = 3600.0;
+  constexpr double kNever = std::numeric_limits<double>::infinity();
+  for (const double scale : {1.0, 200.0}) {
+    SCOPED_TRACE("timeScale " + std::to_string(scale));
+    const PacedClock clock(scale);
+    // The run loop wakes at wallAt(deadline): never before the deadline on
+    // the daemon's clock, and at most two clock ticks after it.
+    const auto checkWake = [&](double deadline) {
+      const PacedClock::WallClock::time_point wake = clock.wallAt(deadline);
+      EXPECT_GE(clock.simAt(wake), deadline);
+      const auto exact = clock.epoch() + std::chrono::duration_cast<PacedClock::WallClock::duration>(
+                                             std::chrono::duration<double>(deadline / scale));
+      EXPECT_LE(wake - exact, PacedClock::WallClock::duration(2));
+    };
+    AgentDaemonConfig config;
+    config.heuristic = "mct";
+    config.heartbeatTimeout = kTimeout;
+
+    {  // A pending simulator event, such as a submission's control latency.
+      AgentDaemon agent(config, clock);
+      agent.runOnce();
+      EXPECT_EQ(agent.nextDeadline(), kNever);
+      const double due = agent.simulator().now() + 0.25;
+      agent.simulator().scheduleAt(due, [] {});
+      EXPECT_EQ(agent.nextDeadline(), due);
+      checkWake(due);
+    }
+    {  // A never-identified connection, then a server's heartbeat deadline.
+      AgentDaemon agent(config, clock);
+      const double t0 = clock.simNow();
+      auto link = wire::TcpTransport::connect("127.0.0.1", agent.port());
+      agent.runOnce();
+      const double t1 = clock.simNow();
+      EXPECT_GE(agent.nextDeadline(), t0 + kTimeout);
+      EXPECT_LE(agent.nextDeadline(), t1 + kTimeout);
+      checkWake(agent.nextDeadline());
+
+      const double t2 = clock.simNow();
+      wire::RegisterMsg reg;
+      reg.serverName = "beating";
+      reg.bwInMBps = 10.0;
+      reg.bwOutMBps = 10.0;
+      reg.problems = {"*"};
+      link->send(wire::MessageType::kRegister, wire::encode(reg));
+      ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); }},
+                            [&] { return agent.liveServerCount() == 1; }, 5.0));
+      const double t3 = clock.simNow();
+      EXPECT_GE(agent.nextDeadline(), t2 + kTimeout);
+      EXPECT_LE(agent.nextDeadline(), t3 + kTimeout);
+      checkWake(agent.nextDeadline());
+    }
+    {  // A mesh request deferred until a peer digest arrives, or it expires.
+      AgentDaemonConfig meshConfig = config;
+      meshConfig.meshEnabled = true;
+      AgentDaemon agent(meshConfig, clock);
+      auto client = wire::TcpTransport::connect("127.0.0.1", agent.port());
+      client->send(wire::MessageType::kHeartbeat, wire::encode(wire::HeartbeatMsg{}));
+      ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); }},
+                            [&] { return agent.nextDeadline() == kNever; }, 5.0));
+      const double t0 = clock.simNow();
+      wire::ScheduleRequestMsg request;
+      request.taskId = 1;
+      request.problem = "nowhere";
+      request.refSeconds = 1.0;
+      client->send(wire::MessageType::kScheduleRequest, wire::encode(request));
+      ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); }},
+                            [&] { return agent.nextDeadline() != kNever; }, 5.0));
+      const double t1 = clock.simNow();
+      EXPECT_GE(agent.nextDeadline(), t0 + kTimeout);
+      EXPECT_LE(agent.nextDeadline(), t1 + kTimeout);
+      checkWake(agent.nextDeadline());
+    }
+  }
+}
+
+TEST(NetLoop, NextDeadlineCoversServerAndClientTimers) {
+  const PacedClock clock(200.0);
+  AgentDaemonConfig agentConfig;
+  agentConfig.heuristic = "mct";
+  auto agent = std::make_unique<AgentDaemon>(agentConfig, clock);
+
+  // Server: its heartbeat is a simulator event, then, once the agent is
+  // gone, the re-dial.
+  NetServerConfig serverConfig;
+  serverConfig.agentPort = agent->port();
+  serverConfig.machine.name = "timed";
+  serverConfig.heartbeatPeriod = 50.0;
+  serverConfig.reportPeriod = 500.0;
+  serverConfig.reconnectPeriod = 20.0;
+  NetServerDaemon server(serverConfig, clock);
+  const double connectedAt = clock.simNow();
+  server.connect();
+  ASSERT_TRUE(pumpUntil({[&] { agent->runOnce(); }, [&] { server.runOnce(); }},
+                        [&] { return server.registered(); }, 5.0));
+  EXPECT_GE(server.nextDeadline(), connectedAt);
+  EXPECT_LE(server.nextDeadline(), clock.simNow() + serverConfig.heartbeatPeriod);
+  agent.reset();
+  ASSERT_TRUE(pumpUntil({[&] { server.runOnce(); }},
+                        [&] { return server.nextDeadline() < connectedAt + 40.0; }, 5.0))
+      << "the re-dial 20 s after the link dropped must undercut the heartbeat";
+
+  // Client: the next arrival.
+  AgentDaemon clientAgent(agentConfig, clock);
+  ClientConfig clientConfig;
+  clientConfig.agentPort = clientAgent.port();
+  ClientDriver client(clientConfig, clock);
+  client.connect();
+  workload::Metatask metatask;
+  workload::TaskInstance task;
+  task.arrival = clock.simNow() + 30.0;
+  task.type = workload::makeSyntheticType("later", 0.0, 1.0, 0.0, 0.0);
+  metatask.tasks.push_back(task);
+  client.start(metatask);
+  EXPECT_EQ(client.nextDeadline(), task.arrival);
+}
+
+TEST(NetLoop, SilentMetricsScrapesNeverStallTheAgentTurn) {
+  AgentDaemonConfig config;
+  config.heuristic = "mct";
+  config.metricsPort = 0;
+  AgentDaemon agent(config, PacedClock(1.0));
+  const std::uint16_t port = agent.metricsHttpPort();
+  ASSERT_NE(port, 0);
+
+  // Three scrapes that connect and never send their request: a turn that
+  // waited 100 ms on each would take 300 ms.
+  std::vector<int> silent;
+  for (int i = 0; i < 3; ++i) silent.push_back(rawConnect(port));
+  const auto start = PacedClock::WallClock::now();
+  agent.runOnce();
+  EXPECT_LT(PacedClock::WallClock::now() - start, std::chrono::milliseconds(100));
+
+  // A real scrape behind them is still answered.
+  const int scrape = rawConnect(port);
+  const std::string request = "GET /metrics HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(scrape, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  bool answered = false;
+  ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); },
+                         [&] {
+                           char buf[4096];
+                           ssize_t n;
+                           while ((n = ::recv(scrape, buf, sizeof(buf), MSG_DONTWAIT)) > 0) {
+                             response.append(buf, static_cast<std::size_t>(n));
+                           }
+                           if (n == 0) answered = true;
+                         }},
+                        [&] { return answered; }, 5.0));
+  EXPECT_EQ(response.rfind("HTTP/1.0 200 OK", 0), 0u);
+
+  // The silent ones are dropped, unanswered, once their request is overdue.
+  std::size_t dropped = 0;
+  ASSERT_TRUE(pumpUntil({[&] { agent.runOnce(); },
+                         [&] {
+                           for (int& fd : silent) {
+                             char byte;
+                             if (fd >= 0 && ::recv(fd, &byte, 1, MSG_DONTWAIT) == 0) {
+                               ::close(fd);
+                               fd = -1;
+                               ++dropped;
+                             }
+                           }
+                         }},
+                        [&] { return dropped == 3; }, 10.0));
+  ::close(scrape);
 }
 
 }  // namespace
